@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against their fallback paths.
 
-Times the gossip slot loop (numba njit vs uncompiled Python) and the
-exact-conductance scan (njit gray-code vs vectorized numpy) on the same
-inputs, then prints per-kernel timings and speedups.  Run after
-``pip install -e .``:
+Times the gossip meeting decoder (numpy, shared by both backends), the
+slot loop that applies the meetings (numba njit on arrays vs Python on
+lists) and the exact-conductance scan (njit gray-code vs vectorized numpy)
+on the same inputs, then prints per-kernel timings and speedups.  Run
+after ``pip install -e .`` (``.[fast]`` for the numba paths):
 
     python3 benchmarks/bench_kernels.py [--slots N] [--conductance-n N]
 """
@@ -32,28 +33,28 @@ def time_call(fn, *args, repeats=3):
 
 def bench_gossip(slots: int):
     net = random_network(np.random.default_rng(1), 12)
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
+    sampler = build_sampler(net)
     uniforms = np.random.default_rng(2).random((slots, 3))
+    t_decode, (i, j, kind) = time_call(kernels.decode_meetings, *sampler, net.x, net.y, uniforms)
     rec = np.zeros((1, net.n))
 
-    def run(chunk_fn):
+    def run(apply_fn):
         w = net.w0.copy()
         # negative tol: the loop never exits early, both paths do identical work
-        return chunk_fn(
-            w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), -1.0,
-            uniforms, 0, slots, float(w.max() - w.min()),
-            0, rec, np.zeros(1), np.zeros(1, dtype=np.int64), 0,
+        return apply_fn(
+            w, i, j, kind, float(w.max()), float(w.min()), float(net.delta), -1.0, 0, slots,
+            float(w.max() - w.min()), 0, rec, np.zeros(1), np.zeros(1, dtype=np.int64), 0,
         )
 
     if kernels.NUMBA_ENABLED:
         kernels.warmup()
-        t_jit, out_jit = time_call(run, kernels.gossip_chunk)
+        t_jit, out_jit = time_call(run, kernels._apply)
     else:
         t_jit, out_jit = None, None
-    t_py, out_py = time_call(run, kernels._gossip_chunk, repeats=1)
+    t_py, out_py = time_call(run, kernels._apply_meetings_lists, repeats=1)
     if out_jit is not None:
-        assert out_jit[0] == out_py[0], "paths disagree on slots processed"
-    return t_jit, t_py
+        assert out_jit == out_py, "paths disagree"
+    return t_decode, t_jit, t_py
 
 
 def bench_conductance(n: int):
@@ -82,8 +83,9 @@ def main():
     print(f"active backend: {kernels.backend()}")
     print(f"(set WG_NO_NUMBA=1 to force the fallback backend)\n")
 
-    t_jit, t_py = bench_gossip(args.slots)
+    t_decode, t_jit, t_py = bench_gossip(args.slots)
     print(f"gossip loop, {args.slots} slots on a 12-node network")
+    print(f"  decode     : {fmt(t_decode)}")
     print(f"  numba njit : {fmt(t_jit)}")
     print(f"  python     : {fmt(t_py)}")
     if t_jit:

@@ -76,70 +76,44 @@ def build_sampler(net: AcquaintanceNetwork):
     Row i's partners live in nbr_idx[row_start[i]:row_start[i+1]] with
     cumulative probabilities ending exactly at 1.0 (each row rescaled by
     its own sum, which the validator already pins to 1 within 1e-9).
+    The cumulative sums run over the dense rows: adding a zero is exact,
+    so each partner's entry equals the sum over that row's partners alone,
+    and the last one, divided by itself, is exactly 1.0.
     """
-    n = net.n
-    nbr_idx: list[int] = []
-    cums: list[np.ndarray] = []
-    row_start = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        cols = np.nonzero(net.p[i])[0]
-        if cols.size == 0:
-            raise ValueError(f"node {i} has no meeting partners")
-        cum = np.cumsum(net.p[i, cols])
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        nbr_idx.extend(int(cc) for cc in cols)
-        cums.append(cum)
-        row_start[i + 1] = row_start[i] + cols.size
-    return np.asarray(nbr_idx, dtype=np.int64), np.concatenate(cums), row_start
+    support = net.p != 0
+    degree = support.sum(axis=1)
+    if not degree.all():
+        raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
+    cum = np.cumsum(net.p, axis=1)
+    cum /= cum[:, -1:]
+    rows, cols = np.nonzero(support)
+    row_start = np.zeros(net.n + 1, dtype=np.int64)
+    np.cumsum(degree, out=row_start[1:])
+    return cols.astype(np.int64), cum[rows, cols], row_start
 
 
-_KIND_BY_CODE = {0: REGULAR, 1: INFLUENCE, 2: PERSISTENT}
-
-
-def _decode_meeting(net, u0: float, u1: float, u2: float, sampler, slot: int) -> Meeting:
-    nbr_idx, nbr_cum, row_start = sampler
-    n = net.n
-    i = min(int(u0 * n), n - 1)
-    k = int(np.searchsorted(nbr_cum[row_start[i]:row_start[i + 1]], u1, side="right"))
-    j = int(nbr_idx[row_start[i] + k])
-    yy = net.y[i, j]
-    xx = net.x[i, j]
-    if u2 < yy:
-        kind = REGULAR
-    elif u2 < yy + xx:
-        kind = INFLUENCE
-    else:
-        kind = PERSISTENT
-    return Meeting(slot=slot, i=i, j=j, kind=kind)
-
-
-def sample_meeting(net: AcquaintanceNetwork, rng: np.random.Generator, slot: int = 0) -> Meeting:
-    """Draw one meeting: initiator uniform, partner from p[i], kind from (y, x, z)."""
-    u = rng.random(3)
-    return _decode_meeting(net, u[0], u[1], u[2], build_sampler(net), slot)
+_KIND_BY_CODE = {
+    kernels.KIND_REGULAR: REGULAR,
+    kernels.KIND_INFLUENCE: INFLUENCE,
+    kernels.KIND_PERSISTENT: PERSISTENT,
+}
 
 
 def sample_meetings_batch(net: AcquaintanceNetwork, count: int, rng: np.random.Generator):
     """Vectorized meeting sampler; returns (i, j, kind_code) arrays.
 
-    kind codes: 0 regular, 1 influence, 2 persistent.
+    Decodes ``count`` uniform triples exactly as the simulator does
+    (``kernels.decode_meetings``).  kind codes: 0 regular, 1 influence,
+    2 persistent.
     """
     nbr_idx, nbr_cum, row_start = build_sampler(net)
-    n = net.n
-    u = rng.random((count, 3))
-    i = np.minimum((u[:, 0] * n).astype(np.int64), n - 1)
-    # Shift each row's cumulative range into [row, row + 1] so one global
-    # searchsorted resolves every draw.
-    shifted = nbr_cum + np.repeat(np.arange(n), np.diff(row_start))
-    pos = np.searchsorted(shifted, u[:, 1] + i, side="right")
-    j = nbr_idx[pos]
-    yy = net.y[i, j]
-    xx = net.x[i, j]
-    kind = np.full(count, 2, dtype=np.int64)
-    kind[u[:, 2] < yy + xx] = 1
-    kind[u[:, 2] < yy] = 0
-    return i, j, kind
+    return kernels.decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, rng.random((count, 3)))
+
+
+def sample_meeting(net: AcquaintanceNetwork, rng: np.random.Generator, slot: int = 0) -> Meeting:
+    """Draw one meeting: initiator uniform, partner from p[i], kind from (y, x, z)."""
+    i, j, kind = sample_meetings_batch(net, 1, rng)
+    return Meeting(slot=slot, i=int(i[0]), j=int(j[0]), kind=_KIND_BY_CODE[int(kind[0])])
 
 
 def apply_meeting(w: np.ndarray, meeting: Meeting, delta: float) -> np.ndarray:
@@ -162,6 +136,12 @@ def apply_meeting(w: np.ndarray, meeting: Meeting, delta: float) -> np.ndarray:
         out[i] = min(max(v, min(a, b)), max(a, b))
     elif meeting.kind != PERSISTENT:
         raise ValueError(f"unknown meeting kind {meeting.kind!r}")
+    return out
+
+
+def _grown(buf: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + buf.shape[1:], dtype=buf.dtype)
+    out[: buf.shape[0]] = buf
     return out
 
 
@@ -190,10 +170,11 @@ def run_replica(
     w = np.array(net.w0, dtype=np.float64, copy=True)
     spread = float(w.max() - w.min())
 
-    max_records = (max_slots // record_every + 2) if record_every > 0 else 2
-    rec_w = np.empty((max_records, n))
-    rec_spread = np.empty(max_records)
-    rec_slots = np.empty(max_records, dtype=np.int64)
+    # Two rows hold the initial and final states; the buffers grow as
+    # chunks are drawn, so memory follows the slots actually simulated.
+    rec_w = np.empty((2, n))
+    rec_spread = np.empty(2)
+    rec_slots = np.empty(2, dtype=np.int64)
     rec_w[0] = w
     rec_spread[0] = spread
     rec_slots[0] = 0
@@ -201,13 +182,26 @@ def run_replica(
 
     slot = 0
     monotone = True
+    chunk = 4 * n
     status = kernels.CONVERGED if spread <= tol else kernels.CHUNK_EXHAUSTED
     while status == kernels.CHUNK_EXHAUSTED:
         remaining = max_slots - slot
         if remaining <= 0:
             status = kernels.BUDGET_EXHAUSTED
             break
-        uniforms = rng.random((min(_CHUNK_SLOTS, remaining), 3))
+        # Slots drawn past convergence are wasted, so chunks start at 4n and
+        # double; the Philox stream does not depend on the chunk sizes.
+        count = min(chunk, _CHUNK_SLOTS, remaining)
+        chunk *= 2
+        if record_every > 0:
+            # the chunk's records, plus the final state appended below
+            need = rec_count + count // record_every + 2
+            if need > rec_slots.shape[0]:
+                rows = max(need, 2 * rec_slots.shape[0])
+                rec_w, rec_spread, rec_slots = (
+                    _grown(rec_w, rows), _grown(rec_spread, rows), _grown(rec_slots, rows)
+                )
+        uniforms = rng.random((count, 3))
         slot, spread, rec_count, status, chunk_monotone = kernels.gossip_chunk(
             w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta),
             float(tol), uniforms, slot, max_slots, spread,
@@ -292,8 +286,8 @@ def empirical_mean_update(net: AcquaintanceNetwork, count: int, rng: np.random.G
     dsum = np.zeros((n, n))
     dsq = np.zeros((n, n))
 
-    reg = kind == 0
-    inf = kind == 1
+    reg = kind == kernels.KIND_REGULAR
+    inf = kind == kernels.KIND_INFLUENCE
     one_minus_delta = 1.0 - net.delta
     # Averaging meeting deviation from I: -1/2 at (i,i),(j,j); +1/2 at (i,j),(j,i)
     for rows, cols, val in (

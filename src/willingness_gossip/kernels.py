@@ -1,15 +1,17 @@
 """Hot inner loops: gossip slot iteration and conductance subset scan.
 
-Both kernels are written as plain Python over numpy arrays and compiled
-with numba when available.  Setting the environment variable
-``WG_NO_NUMBA=1`` (or any of 1/true/yes) before import selects the
-fallback path: the gossip loop runs uncompiled and the conductance scan
-switches to a vectorized numpy enumeration.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+The gossip kernel consumes pre-drawn uniforms, three per slot.  It first
+decodes a whole chunk of them into meetings with numpy
+(``decode_meetings``), then applies the meetings in one scalar loop
+(``_apply_meetings``) that tracks the running max and min instead of
+rescanning all n values every slot.
 
-The gossip kernel consumes pre-drawn uniforms, three per slot, so the
-compiled and fallback paths reproduce bit-identical trajectories from the
-same random stream.
+With numba importable (``pip install .[fast]``) the scalar loop and the
+conductance scan are njit-compiled.  Without it, or with ``WG_NO_NUMBA=1``
+(or true/yes) set before import, the loop runs in Python over lists and
+the conductance scan switches to a vectorized numpy enumeration.  Both
+backends reproduce bit-identical trajectories from the same uniforms;
+``benchmarks/bench_kernels.py`` compares them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ if not _DISABLED:
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional "fast" extra
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False
@@ -42,17 +44,55 @@ CHUNK_EXHAUSTED = 0
 CONVERGED = 1
 BUDGET_EXHAUSTED = 2
 
+# Meeting kind codes returned by decode_meetings.
+KIND_REGULAR = 0
+KIND_INFLUENCE = 1
+KIND_PERSISTENT = 2
 
-def _gossip_chunk(
+
+def decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms):
+    """Decode uniform triples, one row per slot, into meetings (i, j, kind).
+
+    The initiator is ``min(int(u0 * n), n - 1)``.  The partner is the
+    first entry of the initiator's CSR row whose cumulative probability
+    exceeds u1, found by a bisection run in lockstep over all rows that
+    makes the same ``nbr_cum[mid] > u1`` comparisons as a scalar search
+    of that row alone.  The kind is regular if ``u2 < y[i, j]``, influence
+    if ``u2 < y[i, j] + x[i, j]``, persistent otherwise.  Returns three
+    int64 arrays.
+    """
+    n = row_start.shape[0] - 1
+    u1 = uniforms[:, 1]
+    u2 = uniforms[:, 2]
+    i = (uniforms[:, 0] * n).astype(np.int64)
+    np.minimum(i, n - 1, out=i)
+    lo = row_start[i]
+    hi = row_start[i + 1]
+    # A settled search (lo == hi) is a fixed point of the step below:
+    # nbr_cum[lo] > u1 holds there, because every row ends at 1.0 > u1.
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        left = nbr_cum[mid] > u1
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid + 1)
+    j = nbr_idx[lo]
+    flat = i * n + j
+    yy = y.take(flat)
+    kind = np.full(i.shape[0], KIND_PERSISTENT, dtype=np.int64)
+    kind[u2 < yy + x.take(flat)] = KIND_INFLUENCE
+    kind[u2 < yy] = KIND_REGULAR
+    return i, j, kind
+
+
+def _apply_meetings(
     w,
-    nbr_idx,
-    nbr_cum,
-    row_start,
-    x,
-    y,
+    i,
+    j,
+    kind,
+    mx,
+    mn,
     delta,
     tol,
-    uniforms,
     slot,
     max_slots,
     prev_spread,
@@ -62,68 +102,57 @@ def _gossip_chunk(
     rec_slots,
     rec_count,
 ):
-    """Advance the meeting process through one chunk of uniforms.
+    """Apply decoded meetings one slot at a time; the gossip kernel's loop.
 
-    Mutates ``w`` and the rec_* buffers in place.  Each slot draws an
-    initiator uniformly, a partner from the initiator's meeting row
-    (CSR-style cumulative table) and a meeting kind from (y, x, rest).
-    Influence updates are clamped into the pre-meeting pair interval so
-    the willingness spread is exactly non-increasing in floating point.
+    Mutates ``w`` and the rec_* buffers in place; ``mx`` and ``mn`` are the
+    max and min of ``w`` on entry.  Averaging sets both endpoints to their
+    mean; influence moves the initiator toward the partner with retention
+    delta, clamped into the pre-meeting pair interval so the willingness
+    spread is exactly non-increasing in floating point.  Either way the new
+    values lie inside the old pair interval, so the max and min can only
+    change when an updated node held one of them; only then (or when a
+    comparison fails on a NaN) are they recomputed.
 
+    ``w`` is a Python list on the fallback path and an array under numba.
     Returns (slot, prev_spread, rec_count, status, monotone_ok).
     """
-    n = w.shape[0]
     monotone_ok = True
     status = CHUNK_EXHAUSTED
-    for t in range(uniforms.shape[0]):
+    for a, b, k in zip(i, j, kind):
         if slot >= max_slots:
             status = BUDGET_EXHAUSTED
             break
-        u0 = uniforms[t, 0]
-        u1 = uniforms[t, 1]
-        u2 = uniforms[t, 2]
-
-        i = int(u0 * n)
-        if i >= n:
-            i = n - 1
-        lo = row_start[i]
-        hi = row_start[i + 1]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nbr_cum[mid] > u1:
-                hi = mid
-            else:
-                lo = mid + 1
-        j = nbr_idx[lo]
-
-        yy = y[i, j]
-        xx = x[i, j]
-        if u2 < yy:
-            avg = 0.5 * (w[i] + w[j])
-            w[i] = avg
-            w[j] = avg
-        elif u2 < yy + xx:
-            a = w[i]
-            b = w[j]
-            v = delta * a + (1.0 - delta) * b
-            pair_lo = a if a < b else b
-            pair_hi = a if a > b else b
+        inside = True
+        if k == KIND_REGULAR:
+            wa = w[a]
+            wb = w[b]
+            avg = 0.5 * (wa + wb)
+            w[a] = avg
+            w[b] = avg
+            inside = mn < wa < mx and mn < wb < mx
+        elif k == KIND_INFLUENCE:
+            wa = w[a]
+            wb = w[b]
+            v = delta * wa + (1.0 - delta) * wb
+            pair_lo = wa if wa < wb else wb
+            pair_hi = wa if wa > wb else wb
             if v < pair_lo:
                 v = pair_lo
             if v > pair_hi:
                 v = pair_hi
-            w[i] = v
+            w[a] = v
+            inside = mn < wa < mx
         # else persistent: no change
+        if not inside:
+            mx = w[0]
+            mn = w[0]
+            for v in w:
+                if v > mx:
+                    mx = v
+                if v < mn:
+                    mn = v
 
         slot += 1
-
-        mx = w[0]
-        mn = w[0]
-        for k in range(1, n):
-            if w[k] > mx:
-                mx = w[k]
-            if w[k] < mn:
-                mn = w[k]
         spread = mx - mn
         if spread > prev_spread:
             monotone_ok = False
@@ -132,8 +161,7 @@ def _gossip_chunk(
         if record_every > 0 and slot % record_every == 0:
             rec_slots[rec_count] = slot
             rec_spread[rec_count] = spread
-            for k in range(n):
-                rec_w[rec_count, k] = w[k]
+            rec_w[rec_count, :] = w
             rec_count += 1
 
         if spread <= tol:
@@ -141,6 +169,18 @@ def _gossip_chunk(
             break
 
     return slot, prev_spread, rec_count, status, monotone_ok
+
+
+def _apply_meetings_lists(w, i, j, kind, *state):
+    """Run ``_apply_meetings`` on Python lists and write ``w`` back.
+
+    Interpreted list indexing is several times cheaper than indexing
+    numpy arrays element by element.
+    """
+    values = w.tolist()
+    out = _apply_meetings(values, i.tolist(), j.tolist(), kind.tolist(), *state)
+    w[:] = values
+    return out
 
 
 def _conductance_gray(K):
@@ -216,11 +256,48 @@ def _conductance_numpy(K: np.ndarray) -> float:
 
 
 if NUMBA_ENABLED:
-    gossip_chunk = njit(cache=True, nogil=True)(_gossip_chunk)
+    _apply = njit(cache=True, nogil=True)(_apply_meetings)
     conductance_scan = njit(cache=True, nogil=True)(_conductance_gray)
 else:
-    gossip_chunk = _gossip_chunk
+    _apply = _apply_meetings_lists
     conductance_scan = _conductance_numpy
+
+
+def gossip_chunk(
+    w,
+    nbr_idx,
+    nbr_cum,
+    row_start,
+    x,
+    y,
+    delta,
+    tol,
+    uniforms,
+    slot,
+    max_slots,
+    prev_spread,
+    record_every,
+    rec_w,
+    rec_spread,
+    rec_slots,
+    rec_count,
+):
+    """Advance the meeting process through one chunk of uniforms.
+
+    Mutates ``w`` and the rec_* buffers in place; the buffers must have
+    room for every slot of the chunk that falls on a multiple of
+    ``record_every``.  Each slot draws an initiator uniformly, a partner
+    from the initiator's meeting row (CSR-style cumulative table) and a
+    meeting kind from (y, x, rest); see ``decode_meetings`` and
+    ``_apply_meetings``.
+
+    Returns (slot, prev_spread, rec_count, status, monotone_ok).
+    """
+    i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
+    return _apply(
+        w, i, j, kind, float(w.max()), float(w.min()), delta, tol, slot, max_slots,
+        prev_spread, record_every, rec_w, rec_spread, rec_slots, rec_count,
+    )
 
 
 def warmup() -> None:

@@ -82,7 +82,8 @@ def _simulation_section(net: AcquaintanceNetwork, pi_bar: np.ndarray, ens: Ensem
     expected = float(np.asarray(pi_bar) @ net.w0)
     abs_error = abs(ens.mean - expected) if math.isfinite(ens.mean) else None
     z = None
-    if abs_error is not None:
+    # the stderr needs at least two converged values; with fewer it is 0
+    if abs_error is not None and ens.converged_count >= 2:
         z = abs_error / max(ens.stderr, np.finfo(float).eps)
     return {
         "replicas": ens.replicas,

@@ -158,6 +158,16 @@ class TestReportLibrary:
         assert payload["simulation"] is None
         assert impact is not None
 
+    def test_one_replica_has_no_z_score(self, influencer_pair):
+        config = RunConfig(command="analyze", network="mem", replicas=1)
+        payload, ok, _ = analyze(influencer_pair, config)
+        sim = payload["simulation"]
+        assert ok and sim["converged"] == 1
+        assert sim["stderr"] == 0.0
+        assert sim["abs_error"] is not None
+        assert sim["z_score"] is None
+        assert '"z_score": null' in render_json(payload)
+
     def test_floats_capped_at_12_significant_digits(self, influencer_pair):
         config = RunConfig(command="analyze", network="mem", replicas=0)
         payload, _, _ = analyze(influencer_pair, config)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from willingness_gossip import gossip
 from willingness_gossip.fixtures import (
     barbell,
     random_network,
@@ -17,6 +18,7 @@ from willingness_gossip.gossip import (
     REGULAR,
     Meeting,
     apply_meeting,
+    build_sampler,
     empirical_mean_update,
     run_replica,
     sample_meeting,
@@ -105,6 +107,32 @@ class TestSampling:
         assert np.all(np.abs(mean - wbar) <= 3 * stderr + 1e-12)
 
 
+def per_row_sampler(net):
+    """The per-row construction of the meeting table, as a reference."""
+    nbr_idx, cums = [], []
+    row_start = np.zeros(net.n + 1, dtype=np.int64)
+    for i in range(net.n):
+        cols = np.nonzero(net.p[i])[0]
+        cum = np.cumsum(net.p[i, cols])
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        nbr_idx.extend(int(c) for c in cols)
+        cums.append(cum)
+        row_start[i + 1] = row_start[i] + cols.size
+    return np.asarray(nbr_idx, dtype=np.int64), np.concatenate(cums), row_start
+
+
+def test_build_sampler_equals_per_row_loop(rng):
+    nets = [barbell(3), two_node_influencer()]
+    nets += [random_network(rng, int(rng.integers(2, 30))) for _ in range(10)]
+    for net in nets:
+        got = build_sampler(net)
+        want = per_row_sampler(net)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 class TestRunReplica:
     def test_regular_pair_converges_in_one_meeting(self, regular_pair):
         trace = run_replica(regular_pair, seed=0)
@@ -165,6 +193,21 @@ class TestRunReplica:
         trace = run_replica(net, seed=5)
         means = trace.snapshots.mean(axis=1)
         assert np.max(np.abs(means - net.w0.mean())) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 7, gossip._CHUNK_SLOTS])
+    def test_chunk_size_does_not_change_trajectory(self, chunk, monkeypatch):
+        net = random_network(np.random.default_rng(8), 9)
+        want = run_replica(net, seed=17, record_every=3)
+        monkeypatch.setattr(gossip, "_CHUNK_SLOTS", chunk)
+        got = run_replica(net, seed=17, record_every=3)
+        assert got.slots_used == want.slots_used and got.converged
+        for field in ("slots", "snapshots", "spread", "final"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_snapshot_buffers_follow_slots_used(self):
+        trace = run_replica(two_node_regular(), max_slots=10**12, record_every=1, seed=0)
+        assert trace.converged and trace.slots_used == 1
+        np.testing.assert_array_equal(trace.slots, [0, 1])
 
     def test_tol_must_be_positive(self, regular_pair):
         with pytest.raises(ValueError):

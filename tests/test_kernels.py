@@ -1,16 +1,21 @@
 """Compiled kernels and their fallbacks must agree on identical inputs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from willingness_gossip import kernels
 from willingness_gossip.fixtures import barbell, random_network
-from willingness_gossip.gossip import build_sampler
+from willingness_gossip.gossip import INFLUENCE, PERSISTENT, REGULAR, Meeting, apply_meeting, build_sampler
 from willingness_gossip.meanfield import build_mean_matrices
 
 needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="fallback backend active (WG_NO_NUMBA)"
+    not kernels.NUMBA_ENABLED,
+    reason="numba disabled by WG_NO_NUMBA" if kernels._DISABLED else "numba is not importable",
 )
+
+KINDS = {0: REGULAR, 1: INFLUENCE, 2: PERSISTENT}
 
 
 def drive(chunk_fn, net, uniforms, tol=1e-9):
@@ -31,15 +36,74 @@ def drive(chunk_fn, net, uniforms, tol=1e-9):
 
 
 @needs_numba
-def test_gossip_chunk_bitwise_equal_to_fallback(rng):
+def test_compiled_apply_meetings_equals_list_path(rng, monkeypatch):
     net = random_network(rng, 9)
     uniforms = np.random.default_rng(5).random((4096, 3))
     w_jit, rec_jit, spread_jit, out_jit = drive(kernels.gossip_chunk, net, uniforms)
-    w_py, rec_py, spread_py, out_py = drive(kernels._gossip_chunk, net, uniforms)
+    monkeypatch.setattr(kernels, "_apply", kernels._apply_meetings_lists)
+    w_py, rec_py, spread_py, out_py = drive(kernels.gossip_chunk, net, uniforms)
     assert np.array_equal(w_jit, w_py)
     assert np.array_equal(rec_jit, rec_py)
     assert np.array_equal(spread_jit, spread_py)
     assert out_jit == out_py
+
+
+def test_decode_meetings_matches_per_row_searchsorted(rng):
+    net = random_network(rng, 30, extra_edge_prob=0.6)
+    nbr_idx, nbr_cum, row_start = build_sampler(net)
+    n = net.n
+    assert np.diff(row_start).max() >= 16  # rows need 5+ bisection steps
+    uniforms = np.random.default_rng(3).random((5000, 3))
+    # u0 one ulp below 1 picks the last initiator
+    uniforms[0, 0] = np.nextafter(1.0, 0.0)
+    # u1 exactly on each row's cumulative boundaries, and one ulp either side
+    rows = np.repeat(np.arange(n), np.diff(row_start))
+    edges = np.concatenate([nbr_cum, np.nextafter(nbr_cum, 0.0), np.nextafter(nbr_cum, 2.0)])
+    edge_rows = np.tile(rows, 3)
+    keep = edges < 1.0
+    m = int(keep.sum())
+    uniforms[1 : 1 + m, 0] = (edge_rows[keep] + 0.5) / n
+    uniforms[1 : 1 + m, 1] = edges[keep]
+    uniforms[1 + m, 1] = 0.0
+
+    i, j, kind = kernels.decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, uniforms)
+    assert i[0] == n - 1
+    for t in range(uniforms.shape[0]):
+        u0, u1, u2 = uniforms[t]
+        ii = min(int(u0 * n), n - 1)
+        row = slice(row_start[ii], row_start[ii + 1])
+        k = int(np.searchsorted(nbr_cum[row], u1, side="right"))
+        jj = nbr_idx[row][k]
+        yy, xx = net.y[ii, jj], net.x[ii, jj]
+        code = 0 if u2 < yy else 1 if u2 < yy + xx else 2
+        assert (i[t], j[t], kind[t]) == (ii, jj, code), t
+
+
+def test_gossip_chunk_equals_folded_apply_meeting(rng):
+    base = random_network(rng, 8)
+    # values in {0, 1} only: several nodes tie for the max and the min
+    net = dataclasses.replace(base, w0=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
+    uniforms = np.random.default_rng(11).random((3000, 3))
+    w, rec_w, rec_spread, out = drive(kernels.gossip_chunk, net, uniforms)
+    slots_used = out[0]
+    assert slots_used > 100
+
+    i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+    ref = net.w0.copy()
+    prev = ref.max() - ref.min()
+    monotone = True
+    for t in range(slots_used):
+        ref = apply_meeting(ref, Meeting(t, int(i[t]), int(j[t]), KINDS[int(kind[t])]), net.delta)
+        spread = ref.max() - ref.min()
+        monotone = monotone and spread <= prev
+        prev = spread
+        assert np.array_equal(rec_w[t + 1], ref), t
+        assert rec_spread[t + 1] == spread
+    assert np.array_equal(w, ref)
+    assert out[1] == prev
+    assert out[2] == slots_used + 1
+    assert out[4] == monotone
+    assert (out[3] == kernels.CONVERGED) == (prev <= 1e-9)
 
 
 def test_conductance_scan_matches_numpy_fallback(rng):
