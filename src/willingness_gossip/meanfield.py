@@ -12,13 +12,12 @@ All computations are dense; the intended scale is n <= 200.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .network import AcquaintanceNetwork
+from .network import AcquaintanceNetwork, reachable
 
 COND_LIMIT = 1e12
 
@@ -127,30 +126,19 @@ def _cleanup_distribution(pi: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _connected_symmetric(K: np.ndarray) -> bool:
-    n = K.shape[0]
-    off = K.copy()
-    np.fill_diagonal(off, 0.0)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(off[u] > 0.0)[0]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(int(v))
-    return bool(seen.all())
-
-
 def fundamental_matrix(K: np.ndarray) -> np.ndarray:
     """Deviation-series matrix Y = sum_k (K^k - K_inf) of the social chain.
 
     Computed in closed form as inv(I - K + K_inf) - K_inf with
     K_inf = ones/n, valid because K is doubly stochastic and irreducible.
+    Irreducibility is checked first: node 0 must reach every node along
+    the off-diagonal support of K (symmetric, so one search suffices).
+    Raises ValueError for a reducible K.
     """
     n = K.shape[0]
-    if not _connected_symmetric(K):
+    off = K > 0.0
+    np.fill_diagonal(off, False)
+    if not reachable(off, np.arange(n) == 0)[0].all():
         raise ValueError("social matrix is reducible; fundamental matrix undefined")
     Kinf = np.full((n, n), 1.0 / n)
     try:
@@ -180,18 +168,19 @@ def build_passage_data(K: np.ndarray) -> PassageData:
     return PassageData(Y=Y, m=m)
 
 
-def stationary_perturbation(mm: MeanMatrices) -> StationaryDistribution:
+def stationary_perturbation(mm: MeanMatrices, Y: np.ndarray) -> StationaryDistribution:
     """Stationary distribution via the influence-perturbation identity.
 
     Treats Wbar as the social chain K perturbed by L and evaluates
 
         (pi_bar - e/n)^T = (1/n) e^T (LY) (I - LY)^{-1}
 
-    with Y the fundamental matrix of K.  Algebraically exact, and an
-    independent cross-check for :func:`stationary_distribution`.
+    with ``Y`` the fundamental matrix of ``mm.K`` (from
+    :func:`fundamental_matrix`, or ``build_passage_data(mm.K).Y`` so one
+    analysis inverts it once).  Algebraically exact, and an independent
+    cross-check for :func:`stationary_distribution`.
     """
     n = mm.K.shape[0]
-    Y = fundamental_matrix(mm.K)
     M = mm.L @ Y
     rhs = M.T @ np.full(n, 1.0 / n)
     try:
@@ -200,11 +189,3 @@ def stationary_perturbation(mm: MeanMatrices) -> StationaryDistribution:
         raise NumericalError(f"perturbation solve failed (I - LY singular): {exc}") from exc
     pi = np.full(n, 1.0 / n) + v
     return StationaryDistribution(pi_bar=_cleanup_distribution(pi), method="perturbation")
-
-
-def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    """Dump a matrix as row-major CSV at full float precision (debug aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")

@@ -10,7 +10,7 @@ both in memory and in the JSON file format.
 from __future__ import annotations
 
 import json
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,23 +208,26 @@ def load_network(path: str, renormalize: bool = False) -> AcquaintanceNetwork:
         return parse_network(fh.read(), renormalize=renormalize)
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n == 1:
-        return True
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in np.nonzero(mat[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(int(v))
-        if not seen.all():
-            return False
-    return True
+def reachable(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nodes reachable along the directed edges of ``adj`` from each seed set.
+
+    ``seeds`` is a boolean array of shape (n,) or (k, n); each row is the
+    start set of one search.  Returns ``(reached, hops)``: ``reached`` has
+    the shape of ``seeds``, and ``hops`` is the number of expansions that
+    reached a new node, i.e. the largest shortest-path hop count from a
+    seed set to a node it reaches.  All frontiers expand together by
+    float32 matrix products, which count in-edges exactly below 2**24.
+    """
+    step = np.asarray(adj, dtype=np.float32)
+    reached = np.array(seeds, dtype=bool)
+    frontier = reached
+    hops = 0
+    while True:
+        frontier = (frontier.astype(np.float32) @ step > 0.0) & ~reached
+        if not frontier.any():
+            return reached, hops
+        reached |= frontier
+        hops += 1
 
 
 def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
@@ -260,7 +263,8 @@ def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
     for i, j in np.argwhere(support & (net.x + net.y <= 0.0)):
         v.append(f"persistent-only edge ({i}, {j}): x + y must be positive")
 
-    if not _strongly_connected(support):
+    root = np.arange(n) == 0
+    if not (reachable(support, root)[0].all() and reachable(support.T, root)[0].all()):
         v.append("not strongly connected")
 
     for i in np.nonzero((net.w0 < 0.0) | (net.w0 > 1.0))[0]:
@@ -269,30 +273,18 @@ def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
     return ValidationReport(ok=not v, violations=v)
 
 
-def _bfs_hops(adj: np.ndarray, source: int) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in np.nonzero(adj[u])[0]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(int(w))
-    return dist
-
-
 def diameter(net: AcquaintanceNetwork) -> int:
-    """Maximum directed shortest-path hop count over all ordered node pairs."""
-    adj = net.support
-    best = 0
-    for s in range(net.n):
-        dist = _bfs_hops(adj, s)
-        if np.any(dist < 0):
-            raise NotStronglyConnectedError(f"no path from node {s} to some node")
-        best = max(best, int(dist.max()))
-    return best
+    """Maximum directed shortest-path hop count over all ordered node pairs.
+
+    One all-source :func:`reachable` search; raises
+    :class:`NotStronglyConnectedError` naming the first node that does not
+    reach every other node.
+    """
+    reached, hops = reachable(net.support, np.eye(net.n, dtype=bool))
+    short = np.nonzero(~reached.all(axis=1))[0]
+    if short.size:
+        raise NotStronglyConnectedError(f"no path from node {short[0]} to some node")
+    return hops
 
 
 def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | None:
@@ -309,21 +301,11 @@ def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | 
         raise ValueError(f"({i}, {j}) is not an edge")
 
     undirected = net.support | net.support.T
-    undirected = undirected.copy()
     undirected[i, j] = False
     undirected[j, i] = False
-
-    seen = np.zeros(net.n, dtype=bool)
-    seen[i] = True
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for w in np.nonzero(undirected[u])[0]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(int(w))
+    seen = reachable(undirected, np.arange(net.n) == i)[0]
     if seen[j]:
         return None
-    side_i = frozenset(int(k) for k in np.nonzero(seen)[0])
-    side_j = frozenset(int(k) for k in np.nonzero(~seen)[0])
+    side_i = frozenset(np.nonzero(seen)[0].tolist())
+    side_j = frozenset(np.nonzero(~seen)[0].tolist())
     return EdgePartition(removed_edge=(i, j), side_i=side_i, side_j=side_j)

@@ -169,7 +169,8 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
     try:
         mm = build_mean_matrices(net)
         eigen = stationary_distribution(mm)
-        pert = stationary_perturbation(mm)
+        passage = build_passage_data(mm.K)
+        pert = stationary_perturbation(mm, passage.Y)
         pi = eigen.pi_bar
         payload["stationary"] = {
             "pi": pi,
@@ -201,7 +202,6 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
     impact_report = None
     if mm is not None and pi is not None:
         try:
-            passage = build_passage_data(mm.K)
             psi = spectral.conductance if spectral is not None else None
             impact_report = build_impact_report(net, pi, passage, psi)
             payload["impact"] = _impact_section(impact_report)

@@ -3,7 +3,6 @@ import pytest
 
 from willingness_gossip.fixtures import (
     barbell,
-    complete,
     cycle,
     random_network,
     two_node_influencer,
@@ -17,7 +16,6 @@ from willingness_gossip.meanfield import (
     mean_first_passage,
     stationary_distribution,
     stationary_perturbation,
-    write_matrix_csv,
 )
 
 DOUBLY_STOCHASTIC_TOL = 1e-12
@@ -107,13 +105,14 @@ class TestStationary:
 
 class TestPerturbation:
     def test_no_influence_zero_correction(self, rng):
-        net = without_influence(random_network(rng, 6))
-        pi = stationary_perturbation(build_mean_matrices(net))
+        mm = build_mean_matrices(without_influence(random_network(rng, 6)))
+        pi = stationary_perturbation(mm, fundamental_matrix(mm.K))
         assert pi.method == "perturbation"
         np.testing.assert_allclose(pi.pi_bar, np.full(6, 1.0 / 6.0), atol=1e-14)
 
     def test_influencer_pair_correction(self):
-        pi = stationary_perturbation(build_mean_matrices(two_node_influencer()))
+        mm = build_mean_matrices(two_node_influencer())
+        pi = stationary_perturbation(mm, fundamental_matrix(mm.K))
         np.testing.assert_allclose(pi.pi_bar - 0.5, [-1.0 / 6.0, 1.0 / 6.0], atol=1e-14)
 
     def test_agrees_with_direct_solve(self, rng):
@@ -121,7 +120,7 @@ class TestPerturbation:
             net = random_network(rng, 8)
             mm = build_mean_matrices(net)
             a = stationary_distribution(mm).pi_bar
-            b = stationary_perturbation(mm).pi_bar
+            b = stationary_perturbation(mm, fundamental_matrix(mm.K)).pi_bar
             assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -214,10 +213,3 @@ class TestEmpiricalLaw:
             wbar = build_mean_matrices(net).Wbar
             assert np.all(np.abs(mean - wbar) <= 3 * stderr + 1e-12)
 
-
-def test_matrix_csv_round_trip(tmp_path):
-    mm = build_mean_matrices(complete(4))
-    out = tmp_path / "K.csv"
-    write_matrix_csv(str(out), mm.K)
-    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), mm.K)
