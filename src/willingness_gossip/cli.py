@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NetworkFormatError
 from .gossip import run_replica, simulate_ensemble, write_trace_csv
-from .impact import write_impact_csv
+from .impact import render_impact_csv
 from .network import load_network, validate_network
 from .report import RunConfig, analyze, render_json
 from .spectral import DEFAULT_MIXING_THRESHOLD
@@ -177,21 +177,18 @@ def cmd_analyze(args) -> int:
     payload, ok, impact_report = analyze(net, config)
 
     if args.format == "json":
-        text = render_json(payload)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"report written to {args.out}")
-        else:
-            sys.stdout.write(text)
+        text, what = render_json(payload), "report"
+    elif impact_report is None:
+        print("impact analysis failed; no CSV to write", file=sys.stderr)
+        return EXIT_PARTIAL
     else:
-        if impact_report is None:
-            print("impact analysis failed; no CSV to write", file=sys.stderr)
-            return EXIT_PARTIAL
-        out = args.out or "/dev/stdout"
-        write_impact_csv(out, impact_report)
-        if args.out:
-            print(f"impact table written to {args.out}")
+        text, what = render_impact_csv(impact_report), "impact table"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{what} written to {args.out}")
+    else:
+        sys.stdout.write(text)
 
     if args.trace:
         trace = run_replica(

@@ -115,7 +115,14 @@ def impact_thm6(net: AcquaintanceNetwork, partition: EdgePartition) -> Thm6Resul
     ``partition`` must be the bridge split of the unique influential edge
     (i, j); every node on j's side shares the value proportional to
     +|side_i|, every node on i's side the value proportional to
-    -|side_j|.  Reported alongside its residual against the exact impact
+    -|side_j|, with the common factor
+
+        (2 / n^2) mu (1 - delta) / (1 - (mu/n)(|side_i| + (2 delta - 1)|side_j|)).
+
+    The denominator follows from the rank-one influence part L and the
+    bridge hitting time |side_i| / K_ij; it differs from the printed
+    statement's (1 + 2 delta)|side_i| - |side_j|, which agrees only on
+    equal sides.  Reported alongside its residual against the exact impact
     rather than trusted blindly.
     """
     i, j = find_influential_edge(net)
@@ -130,7 +137,7 @@ def impact_thm6(net: AcquaintanceNetwork, partition: EdgePartition) -> Thm6Resul
     )
     size_i = len(partition.side_i)
     size_j = len(partition.side_j)
-    denom = 1.0 - (mu / n) * ((1.0 + 2.0 * net.delta) * size_i - size_j)
+    denom = 1.0 - (mu / n) * (size_i + (2.0 * net.delta - 1.0) * size_j)
     if denom == 0.0:
         raise Thm6InapplicableError("degenerate closed-form denominator")
     base = (2.0 / (n * n)) * mu * (1.0 - net.delta) / denom
@@ -241,27 +248,25 @@ def build_impact_report(
     )
 
 
-def write_impact_csv(path: str, report: ImpactReport) -> None:
+def render_impact_csv(report: ImpactReport) -> str:
     """Impact table: node, exact, thm5, thm5_residual, thm6, thm7_bound, rank, tier."""
-    n = report.exact.shape[0]
     by_node = {r.node: r for r in report.ranking}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier\n")
-        for k in range(n):
-            thm6_cell = repr(float(report.thm6.values[k])) if report.thm6 is not None else ""
-            thm7_cell = repr(float(report.thm7_bound)) if report.thm7_bound is not None else ""
-            fh.write(
-                ",".join(
-                    [
-                        str(k),
-                        repr(float(report.exact[k])),
-                        repr(float(report.thm5[k])),
-                        repr(float(report.thm5_residual[k])),
-                        thm6_cell,
-                        thm7_cell,
-                        str(by_node[k].rank),
-                        by_node[k].tier,
-                    ]
-                )
-                + "\n"
+    thm7_cell = repr(float(report.thm7_bound)) if report.thm7_bound is not None else ""
+    lines = ["node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier"]
+    for k in range(report.exact.shape[0]):
+        thm6_cell = repr(float(report.thm6.values[k])) if report.thm6 is not None else ""
+        lines.append(
+            ",".join(
+                [
+                    str(k),
+                    repr(float(report.exact[k])),
+                    repr(float(report.thm5[k])),
+                    repr(float(report.thm5_residual[k])),
+                    thm6_cell,
+                    thm7_cell,
+                    str(by_node[k].rank),
+                    by_node[k].tier,
+                ]
             )
+        )
+    return "\n".join(lines) + "\n"

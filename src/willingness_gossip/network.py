@@ -110,7 +110,13 @@ def _require_key(obj: dict, key: str, context: str):
 def _as_number(value, key: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NetworkFormatError(f"field '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise NetworkFormatError(f"field '{key}' must be a finite number, got {value!r}")
+    return number
 
 
 def parse_network(text: str, renormalize: bool = False) -> AcquaintanceNetwork:
@@ -235,6 +241,13 @@ def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
     v: list[str] = []
     n = net.n
 
+    for name, arr in (("p", net.p), ("x", net.x), ("y", net.y), ("z", net.z), ("w0", net.w0)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            where = ", ".join(str(k) for k in bad[0])
+            v.append(f"non-finite {name}[{where}] ({bad.shape[0]} non-finite entries in {name})")
+
+    # also rejects a NaN or infinite delta
     if not (0.0 < net.delta <= 0.5):
         v.append(f"delta {net.delta} outside (0, 0.5]")
 

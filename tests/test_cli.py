@@ -37,6 +37,19 @@ class TestValidateCommand:
         assert main(["validate", "--network", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_is_parse_error(self, tmp_path, capsys, command, value):
+        doc = json.loads(serialize_network(two_node_influencer()))
+        doc["w0"][0] = value
+        doc["edges"][0]["x"] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN / Infinity tokens
+        assert main([command, "--network", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err
+        assert "network OK" not in captured.out
+
 
 class TestSimulateCommand:
     def test_regular_pair(self, regular_pair_path, capsys):
@@ -135,6 +148,13 @@ class TestAnalyzeCommand:
         payload = json.loads(out.read_text())
         assert payload["spectral"]["conductance"] is None
         assert payload["impact"]["thm7_bound"] is None
+
+    def test_csv_to_stdout_when_no_out(self, influencer_pair_path, capsys):
+        rc = main(["analyze", "--network", influencer_pair_path, "--replicas", "1", "--format", "csv"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier"
+        assert len(lines) == 3
 
     def test_stdout_when_no_out(self, influencer_pair_path, capsys):
         rc = main(["analyze", "--network", influencer_pair_path, "--replicas", "5"])

@@ -82,6 +82,12 @@ class TestParse:
         with pytest.raises(NetworkFormatError, match="'x'"):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400])
+    def test_non_finite_number(self, literal):
+        text = INFLUENCER_PAIR_DOC.replace('"delta": 0.5', f'"delta": {literal}')
+        with pytest.raises(NetworkFormatError, match="'delta' must be a finite number"):
+            parse_network(text)
+
     def test_invalid_json(self):
         with pytest.raises(NetworkFormatError, match="invalid JSON"):
             parse_network("{not json")
@@ -152,6 +158,19 @@ class TestValidate:
         )
         report = validate_network(bad)
         assert any("w0[2]" in s for s in report.violations)
+
+    def test_non_finite_entries(self):
+        net = barbell(2)
+        x = net.x.copy()
+        x[0, 1] = np.nan
+        p = net.p.copy()
+        p[2, 3] = np.inf
+        w0 = np.array([0.0, np.nan, -np.inf, 1.0])
+        bad = AcquaintanceNetwork(n=net.n, delta=np.nan, p=p, x=x, y=net.y, z=net.z, w0=w0)
+        report = validate_network(bad)
+        assert not report.ok
+        for expected in ("non-finite p[2, 3]", "non-finite x[0, 1]", "non-finite w0[1] (2 ", "delta nan"):
+            assert any(expected in s for s in report.violations), expected
 
     def test_random_fixtures_valid(self, rng):
         for _ in range(20):
