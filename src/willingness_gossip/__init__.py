@@ -8,12 +8,10 @@ from .errors import (
     Thm6InapplicableError,
 )
 from .gossip import (
-    Meeting,
     SimulationTrace,
     EnsembleSummary,
     apply_meeting,
     run_replica,
-    sample_meeting,
     simulate_ensemble,
 )
 from .impact import (

@@ -2,8 +2,9 @@
 
 Every flag can also be set through an environment variable named after it
 with the ``WG_`` prefix (``--max-slots`` -> ``WG_MAX_SLOTS``); explicit
-flags win.  Exit codes: 0 ok, 1 IO/parse failure, 2 invalid network,
-3 no replica converged, 4 partial analysis failure.
+flags win, and a variable's value must pass the flag's own checks.
+Exit codes: 0 ok, 1 IO/parse failure, 2 invalid network (or invalid
+arguments), 3 no replica converged, 4 partial analysis failure.
 """
 
 from __future__ import annotations
@@ -93,7 +94,15 @@ def _load(path: str):
         return None, f"network parse error: {exc}"
 
 
-def _check_args(args) -> str | None:
+def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
+    # argparse checks choices only for flags on the command line; a WG_*
+    # value arrives as a default, so it is checked here against the same list.
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    for action in command._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices and value is not None and value not in action.choices:
+            choices = ", ".join(action.choices)
+            return f"invalid value for WG_{action.dest.upper()}: {value!r} (choose from {choices})"
     if getattr(args, "replicas", 1) < 1:
         return "--replicas must be >= 1"
     if getattr(args, "tol", 1.0) <= 0:
@@ -205,7 +214,7 @@ def cmd_analyze(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _check_args(args)
+    problem = _check_args(parser, args)
     if problem:
         parser.error(problem)
     if args.command == "validate":

@@ -17,21 +17,7 @@ import numpy as np
 from . import kernels
 from .network import AcquaintanceNetwork
 
-REGULAR = "regular"
-INFLUENCE = "influence"
-PERSISTENT = "persistent"
-
 _CHUNK_SLOTS = 16384
-
-
-@dataclass(frozen=True)
-class Meeting:
-    """A single pairwise interaction: initiator i meets partner j."""
-
-    slot: int
-    i: int
-    j: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -92,50 +78,38 @@ def build_sampler(net: AcquaintanceNetwork):
     return cols.astype(np.int64), cum[rows, cols], row_start
 
 
-_KIND_BY_CODE = {
-    kernels.KIND_REGULAR: REGULAR,
-    kernels.KIND_INFLUENCE: INFLUENCE,
-    kernels.KIND_PERSISTENT: PERSISTENT,
-}
-
-
 def sample_meetings_batch(net: AcquaintanceNetwork, count: int, rng: np.random.Generator):
     """Vectorized meeting sampler; returns (i, j, kind_code) arrays.
 
     Decodes ``count`` uniform triples exactly as the simulator does
-    (``kernels.decode_meetings``).  kind codes: 0 regular, 1 influence,
-    2 persistent.
+    (``kernels.decode_meetings``).  kind codes: ``kernels.KIND_REGULAR``
+    (0), ``KIND_INFLUENCE`` (1), ``KIND_PERSISTENT`` (2).
     """
     nbr_idx, nbr_cum, row_start = build_sampler(net)
     return kernels.decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, rng.random((count, 3)))
 
 
-def sample_meeting(net: AcquaintanceNetwork, rng: np.random.Generator, slot: int = 0) -> Meeting:
-    """Draw one meeting: initiator uniform, partner from p[i], kind from (y, x, z)."""
-    i, j, kind = sample_meetings_batch(net, 1, rng)
-    return Meeting(slot=slot, i=int(i[0]), j=int(j[0]), kind=_KIND_BY_CODE[int(kind[0])])
+def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
+    """One willingness update: initiator i meets partner j; pure (returns a new vector).
 
-
-def apply_meeting(w: np.ndarray, meeting: Meeting, delta: float) -> np.ndarray:
-    """One willingness update; pure (returns a new vector).
-
-    Averaging sets both endpoints to their mean; influence moves only the
-    initiator toward the partner with retention delta, clamped into the
-    pre-meeting pair interval so the global spread cannot expand even
-    under floating-point rounding; persistent meetings change nothing.
+    ``kind`` is a ``kernels.KIND_*`` code.  Averaging sets both endpoints
+    to their mean; influence moves only the initiator toward the partner
+    with retention delta, clamped into the pre-meeting pair interval so the
+    global spread cannot expand even under floating-point rounding;
+    persistent meetings change nothing.  This is the reference rule that
+    the tests fold to check ``kernels.gossip_chunk``.
     """
     out = np.array(w, dtype=np.float64, copy=True)
-    i, j = meeting.i, meeting.j
-    if meeting.kind == REGULAR:
+    if kind == kernels.KIND_REGULAR:
         avg = 0.5 * (out[i] + out[j])
         out[i] = avg
         out[j] = avg
-    elif meeting.kind == INFLUENCE:
+    elif kind == kernels.KIND_INFLUENCE:
         a, b = out[i], out[j]
         v = delta * a + (1.0 - delta) * b
         out[i] = min(max(v, min(a, b)), max(a, b))
-    elif meeting.kind != PERSISTENT:
-        raise ValueError(f"unknown meeting kind {meeting.kind!r}")
+    elif kind != kernels.KIND_PERSISTENT:
+        raise ValueError(f"unknown meeting kind {kind!r}")
     return out
 
 

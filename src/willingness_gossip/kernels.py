@@ -3,40 +3,25 @@
 The gossip kernel consumes pre-drawn uniforms, three per slot.  It first
 decodes a whole chunk of them into meetings with numpy
 (``decode_meetings``), then applies the meetings in one scalar loop
-(``_apply_meetings``) that tracks the running max and min instead of
-rescanning all n values every slot.
+(``_apply_meetings``) over Python lists, which index several times
+faster than numpy arrays element by element.  The loop tracks the
+running max and min instead of rescanning all n values every slot.
 
-With numba importable (``pip install .[fast]``) the scalar loop and the
-conductance scan are njit-compiled.  Without it, or with ``WG_NO_NUMBA=1``
-(or true/yes) set before import, the loop runs in Python over lists and
-the conductance scan switches to a vectorized numpy enumeration.  Both
-backends reproduce bit-identical trajectories from the same uniforms;
-``benchmarks/bench_kernels.py`` compares them.
+The conductance scan evaluates every subset containing node 0 with numpy,
+in chunks of 2^14 subsets.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("WG_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in {"1", "true", "yes"}
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is the optional "fast" extra
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# perfbench reads this flag for its environment block.
+NUMBA_ENABLED = False
 
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; perfbench reads it."""
+    return "numpy"
 
 
 # Chunk status codes returned by the gossip kernel.
@@ -104,16 +89,16 @@ def _apply_meetings(
 ):
     """Apply decoded meetings one slot at a time; the gossip kernel's loop.
 
-    Mutates ``w`` and the rec_* buffers in place; ``mx`` and ``mn`` are the
-    max and min of ``w`` on entry.  Averaging sets both endpoints to their
-    mean; influence moves the initiator toward the partner with retention
-    delta, clamped into the pre-meeting pair interval so the willingness
-    spread is exactly non-increasing in floating point.  Either way the new
-    values lie inside the old pair interval, so the max and min can only
-    change when an updated node held one of them; only then (or when a
-    comparison fails on a NaN) are they recomputed.
+    Mutates the list ``w`` and the rec_* buffers in place; ``mx`` and
+    ``mn`` are the max and min of ``w`` on entry.  Averaging sets both
+    endpoints to their mean; influence moves the initiator toward the
+    partner with retention delta, clamped into the pre-meeting pair
+    interval so the willingness spread is exactly non-increasing in
+    floating point.  Either way the new values lie inside the old pair
+    interval, so the max and min can only change when an updated node held
+    one of them; only then (or when a comparison fails on a NaN) are they
+    recomputed.
 
-    ``w`` is a Python list on the fallback path and an array under numba.
     Returns (slot, prev_spread, rec_count, status, monotone_ok).
     """
     monotone_ok = True
@@ -171,71 +156,8 @@ def _apply_meetings(
     return slot, prev_spread, rec_count, status, monotone_ok
 
 
-def _apply_meetings_lists(w, i, j, kind, *state):
-    """Run ``_apply_meetings`` on Python lists and write ``w`` back.
-
-    Interpreted list indexing is several times cheaper than indexing
-    numpy arrays element by element.
-    """
-    values = w.tolist()
-    out = _apply_meetings(values, i.tolist(), j.tolist(), kind.tolist(), *state)
-    w[:] = values
-    return out
-
-
-def _conductance_gray(K):
-    """Exact conductance by gray-code enumeration of subsets containing node 0.
-
-    Tracks the cut weight incrementally (one node flips per step), so the
-    scan over the 2^(n-1) - 1 proper subsets costs O(n) per subset.
-    """
-    n = K.shape[0]
-    in_a = np.zeros(n, dtype=np.bool_)
-    in_a[0] = True
-    size_a = 1
-    cut = 0.0
-    for u in range(1, n):
-        cut += K[0, u]
-
-    best = n * cut / (size_a * (n - size_a))
-    gray_prev = 0
-    total = 1 << (n - 1)
-    for c in range(1, total):
-        gray = c ^ (c >> 1)
-        changed = gray ^ gray_prev
-        gray_prev = gray
-        v = 1
-        bit = changed >> 1
-        while bit:
-            bit >>= 1
-            v += 1
-        # v is now the flipped node id (bit index + 1)
-        delta_cut = 0.0
-        for u in range(n):
-            if u == v:
-                continue
-            if in_a[u]:
-                delta_cut -= K[v, u]
-            else:
-                delta_cut += K[v, u]
-        if in_a[v]:
-            in_a[v] = False
-            size_a -= 1
-            cut -= delta_cut
-        else:
-            in_a[v] = True
-            size_a += 1
-            cut += delta_cut
-        if size_a == n:
-            continue
-        ratio = n * cut / (size_a * (n - size_a))
-        if ratio < best:
-            best = ratio
-    return best
-
-
-def _conductance_numpy(K: np.ndarray) -> float:
-    """Vectorized fallback: evaluate all subsets containing node 0 in chunks."""
+def conductance_scan(K: np.ndarray) -> float:
+    """Exact conductance: evaluate all subsets containing node 0 in chunks."""
     n = K.shape[0]
     total = 1 << (n - 1)
     bit_cols = np.arange(n - 1, dtype=np.uint32)
@@ -253,14 +175,6 @@ def _conductance_numpy(K: np.ndarray) -> float:
         if ratios.size:
             best = min(best, float(ratios.min()))
     return best
-
-
-if NUMBA_ENABLED:
-    _apply = njit(cache=True, nogil=True)(_apply_meetings)
-    conductance_scan = njit(cache=True, nogil=True)(_conductance_gray)
-else:
-    _apply = _apply_meetings_lists
-    conductance_scan = _conductance_numpy
 
 
 def gossip_chunk(
@@ -294,14 +208,18 @@ def gossip_chunk(
     Returns (slot, prev_spread, rec_count, status, monotone_ok).
     """
     i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
-    return _apply(
-        w, i, j, kind, float(w.max()), float(w.min()), delta, tol, slot, max_slots,
-        prev_spread, record_every, rec_w, rec_spread, rec_slots, rec_count,
+    values = w.tolist()
+    out = _apply_meetings(
+        values, i.tolist(), j.tolist(), kind.tolist(), float(w.max()), float(w.min()),
+        delta, tol, slot, max_slots, prev_spread, record_every, rec_w, rec_spread,
+        rec_slots, rec_count,
     )
+    w[:] = values
+    return out
 
 
 def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op on the fallback path)."""
+    """Run both kernels once on tiny inputs; perfbench times it at start-up."""
     w = np.array([0.0, 1.0])
     nbr_idx = np.array([1, 0], dtype=np.int64)
     nbr_cum = np.array([1.0, 1.0])

@@ -119,7 +119,7 @@ def _as_number(value, key: str):
     return number
 
 
-def parse_network(text: str, renormalize: bool = False) -> AcquaintanceNetwork:
+def parse_network(text: str) -> AcquaintanceNetwork:
     """Parse a UTF-8 JSON network document.
 
     The document carries ``n``, ``delta``, ``w0`` and an ``edges`` array of
@@ -127,14 +127,13 @@ def parse_network(text: str, renormalize: bool = False) -> AcquaintanceNetwork:
     from ``edges`` have meeting probability 0.  Structural problems raise
     :class:`NetworkFormatError` naming the offending key; semantic checks
     are deferred to :func:`validate_network`.
-
-    With ``renormalize=True`` each nonzero row of ``p`` is rescaled to sum
-    exactly to 1 (opt-in repair for row sums that only hold approximately).
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise NetworkFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise NetworkFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be a JSON object")
 
@@ -178,11 +177,6 @@ def parse_network(text: str, renormalize: bool = False) -> AcquaintanceNetwork:
         y[i, j] = _as_number(_require_key(edge, "y", ctx), "y")
         z[i, j] = _as_number(_require_key(edge, "z", ctx), "z")
 
-    if renormalize:
-        sums = p.sum(axis=1)
-        nz = sums > 0
-        p[nz] /= sums[nz, None]
-
     return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=w0)
 
 
@@ -209,9 +203,9 @@ def serialize_network(net: AcquaintanceNetwork) -> str:
     return json.dumps(doc, indent=2)
 
 
-def load_network(path: str, renormalize: bool = False) -> AcquaintanceNetwork:
+def load_network(path: str) -> AcquaintanceNetwork:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read(), renormalize=renormalize)
+        return parse_network(fh.read())
 
 
 def reachable(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:

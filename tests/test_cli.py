@@ -50,6 +50,19 @@ class TestValidateCommand:
         assert "must be a finite number" in captured.err
         assert "network OK" not in captured.out
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": ' + "9" * 5000 + "}", "[" * 100000],
+        ids=["integer-over-digit-limit", "nested-too-deeply"],
+    )
+    def test_json_beyond_parser_limits_is_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "limits.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "network parse error" in err
+        assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_regular_pair(self, regular_pair_path, capsys):
@@ -168,6 +181,16 @@ class TestAnalyzeCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", "--network", str(path)]) == 2
+
+    @pytest.mark.parametrize("name, value", [("FORMAT", "xml"), ("CONDUCTANCE", "bogus")])
+    def test_env_value_outside_choices_is_usage_error(self, influencer_pair_path, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(f"WG_{name}", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--network", influencer_pair_path, "--replicas", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"WG_{name}: {value!r}" in captured.err
+        assert captured.out == ""
 
 
 class TestReportLibrary:

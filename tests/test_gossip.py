@@ -13,39 +13,35 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.gossip import (
-    INFLUENCE,
-    PERSISTENT,
-    REGULAR,
-    Meeting,
     apply_meeting,
     build_sampler,
     empirical_mean_update,
     run_replica,
-    sample_meeting,
     sample_meetings_batch,
     simulate_ensemble,
     write_trace_csv,
 )
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR
 from willingness_gossip.meanfield import build_mean_matrices
 
 
 class TestApplyMeeting:
     def test_regular_averages(self):
-        out = apply_meeting(np.array([0.0, 1.0]), Meeting(0, 0, 1, REGULAR), 0.5)
+        out = apply_meeting(np.array([0.0, 1.0]), 0, 1, KIND_REGULAR, 0.5)
         np.testing.assert_array_equal(out, [0.5, 0.5])
 
     def test_influence_moves_initiator_only(self):
-        out = apply_meeting(np.array([0.0, 1.0]), Meeting(0, 0, 1, INFLUENCE), 0.5)
+        out = apply_meeting(np.array([0.0, 1.0]), 0, 1, KIND_INFLUENCE, 0.5)
         np.testing.assert_array_equal(out, [0.5, 1.0])
 
     def test_persistent_is_identity(self):
         w = np.array([0.3, 0.9])
-        out = apply_meeting(w, Meeting(0, 0, 1, PERSISTENT), 0.5)
+        out = apply_meeting(w, 0, 1, KIND_PERSISTENT, 0.5)
         np.testing.assert_array_equal(out, w)
 
     def test_other_coordinates_untouched(self):
         w = np.array([0.1, 0.5, 0.9, 0.3])
-        out = apply_meeting(w, Meeting(0, 1, 3, INFLUENCE), 0.25)
+        out = apply_meeting(w, 1, 3, KIND_INFLUENCE, 0.25)
         assert out[0] == w[0] and out[2] == w[2]
         assert out[3] == w[3]
         assert out[1] == 0.25 * 0.5 + 0.75 * 0.3
@@ -56,12 +52,12 @@ class TestApplyMeeting:
         i=st.integers(0, 4),
         j=st.integers(0, 4),
         delta=st.floats(0.01, 0.5),
-        kind=st.sampled_from([REGULAR, INFLUENCE, PERSISTENT]),
+        kind=st.sampled_from([KIND_REGULAR, KIND_INFLUENCE, KIND_PERSISTENT]),
     )
     def test_spread_never_expands(self, w, i, j, delta, kind):
         if i == j:
             return
-        out = apply_meeting(w, Meeting(0, i, j, kind), delta)
+        out = apply_meeting(w, i, j, kind, delta)
         assert out.max() <= w.max()
         assert out.min() >= w.min()
 
@@ -70,10 +66,10 @@ class TestSampling:
     def test_influencer_pair_kinds(self, influencer_pair, rng):
         # every meeting initiated by node 0 is an influence meeting,
         # every meeting initiated by node 1 an averaging meeting
-        for _ in range(200):
-            m = sample_meeting(influencer_pair, rng)
-            assert m.kind == (INFLUENCE if m.i == 0 else REGULAR)
-            assert m.j == 1 - m.i
+        i, j, kind = sample_meetings_batch(influencer_pair, 200, rng)
+        assert set(i.tolist()) == {0, 1}
+        np.testing.assert_array_equal(kind, np.where(i == 0, KIND_INFLUENCE, KIND_REGULAR))
+        np.testing.assert_array_equal(j, 1 - i)
 
     def test_kind_never_without_probability(self, rng):
         net = random_network(rng, 6)
@@ -179,12 +175,11 @@ class TestRunReplica:
     def test_regular_meeting_conserves_sum_per_step(self, rng):
         net = without_influence(random_network(rng, 6))
         w = net.w0.copy()
-        for slot in range(500):
-            m = sample_meeting(net, rng, slot)
-            nxt = apply_meeting(w, m, net.delta)
-            if m.kind == REGULAR:
+        for i, j, kind in zip(*sample_meetings_batch(net, 500, rng)):
+            nxt = apply_meeting(w, i, j, kind, net.delta)
+            if kind == KIND_REGULAR:
                 assert abs(nxt.sum() - w.sum()) <= 1e-12
-            elif m.kind == PERSISTENT:
+            elif kind == KIND_PERSISTENT:
                 np.testing.assert_array_equal(nxt, w)
             w = nxt
 

@@ -92,12 +92,6 @@ class TestParse:
         with pytest.raises(NetworkFormatError, match="invalid JSON"):
             parse_network("{not json")
 
-    def test_renormalize_fixes_row_sums(self):
-        doc = json.loads(INFLUENCER_PAIR_DOC)
-        doc["edges"][0]["p"] = 0.7  # row 0 sums to 0.7
-        net = parse_network(json.dumps(doc), renormalize=True)
-        assert net.p[0, 1] == 1.0
-
     def test_round_trip_via_serialize(self, rng):
         for n in (3, 6, 9):
             net = random_network(rng, n)

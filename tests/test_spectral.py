@@ -191,6 +191,11 @@ class TestConductance:
             K = build_mean_matrices(net).K
             assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-9)
 
+    def test_matches_brute_force_across_scan_chunks(self):
+        # n = 16 spans 2^15 subsets, two of the scan's 2^14-subset chunks
+        K = build_mean_matrices(random_network(np.random.default_rng(3), 16)).K
+        assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-12)
+
     def test_size_cap(self):
         with pytest.raises(ValueError, match="skip"):
             conductance(np.full((21, 21), 1.0 / 21.0))
