@@ -2,7 +2,8 @@
 
 Every flag can also be set through an environment variable named after it
 with the ``WG_`` prefix (``--max-slots`` -> ``WG_MAX_SLOTS``); explicit
-flags win, and a variable's value must pass the flag's own checks.
+flags win, and a variable's value must pass the flag's own checks (a
+variable for a flag the subcommand does not have is ignored).
 Exit codes: 0 ok, 1 IO/parse failure, 2 invalid network (or invalid
 arguments), 3 no replica converged, 4 partial analysis failure.
 """
@@ -29,16 +30,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_PARTIAL = 4
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"WG_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise SystemExit(f"invalid value for WG_{name}: {raw!r} ({exc})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgossip",
@@ -46,52 +37,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A WG_* value is a string default: argparse applies the flag's type to
+    # it only when the chosen subcommand has that flag and it is absent, and
+    # a bad value is then a usage error like a bad flag.
     def add_common(p, simulation: bool):
         p.add_argument(
             "--network",
-            default=_env("NETWORK", str, None),
-            required=_env("NETWORK", str, None) is None,
+            default=os.environ.get("WG_NETWORK"),
+            required=os.environ.get("WG_NETWORK") is None,
             help="path to the network JSON document",
         )
         if simulation:
-            p.add_argument("--replicas", type=int, default=_env("REPLICAS", int, 1000))
-            p.add_argument("--max-slots", type=int, default=_env("MAX_SLOTS", int, 10**6))
-            p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-6))
-            p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+            p.add_argument("--replicas", type=int, default=os.environ.get("WG_REPLICAS", 1000))
+            p.add_argument("--max-slots", type=int, default=os.environ.get("WG_MAX_SLOTS", 10**6))
+            p.add_argument("--tol", type=float, default=os.environ.get("WG_TOL", 1e-6))
+            p.add_argument("--seed", type=int, default=os.environ.get("WG_SEED", 0))
 
     p_validate = sub.add_parser("validate", help="check the network invariants")
     add_common(p_validate, simulation=False)
 
     p_sim = sub.add_parser("simulate", help="run a replica ensemble")
     add_common(p_sim, simulation=True)
-    p_sim.add_argument("--trace", default=_env("TRACE", str, None), help="write replica 0's trace CSV here")
+    p_sim.add_argument("--trace", default=os.environ.get("WG_TRACE"), help="write replica 0's trace CSV here")
 
     p_an = sub.add_parser("analyze", help="full spectral/impact report")
     add_common(p_an, simulation=True)
     p_an.add_argument(
         "--mixing-threshold",
         type=float,
-        default=_env("MIXING_THRESHOLD", float, DEFAULT_MIXING_THRESHOLD),
+        default=os.environ.get("WG_MIXING_THRESHOLD", DEFAULT_MIXING_THRESHOLD),
     )
     p_an.add_argument(
         "--conductance",
         choices=["exact", "skip"],
-        default=_env("CONDUCTANCE", str, None),
+        default=os.environ.get("WG_CONDUCTANCE"),
         help="subset-enumeration mode (default: exact up to n=20, then skip)",
     )
-    p_an.add_argument("--format", choices=["json", "csv"], default=_env("FORMAT", str, "json"))
-    p_an.add_argument("--out", default=_env("OUT", str, None), help="output path (default stdout)")
-    p_an.add_argument("--trace", default=_env("TRACE", str, None), help="write replica 0's trace CSV here")
+    p_an.add_argument("--format", choices=["json", "csv"], default=os.environ.get("WG_FORMAT", "json"))
+    p_an.add_argument("--out", default=os.environ.get("WG_OUT"), help="output path (default stdout)")
+    p_an.add_argument("--trace", default=os.environ.get("WG_TRACE"), help="write replica 0's trace CSV here")
     return parser
 
 
-def _load(path: str):
+def _load_valid(path: str):
+    """Load and validate a network; returns (net, EXIT_OK) or (None, exit code).
+
+    Says why on failure: a read or parse error on stderr, each violation
+    on stdout.
+    """
     try:
-        return load_network(path), None
+        net = load_network(path)
     except OSError as exc:
-        return None, f"cannot read network file: {exc}"
+        print(f"cannot read network file: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
     except NetworkFormatError as exc:
-        return None, f"network parse error: {exc}"
+        print(f"network parse error: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
+    report = validate_network(net)
+    for violation in report.violations:
+        print(f"violation: {violation}")
+    return (net, EXIT_OK) if report.ok else (None, EXIT_INVALID)
+
+
+def _write_trace(net, args) -> None:
+    """Re-run replica 0 of the ensemble with recording and write its trace CSV."""
+    trace = run_replica(
+        net,
+        max_slots=args.max_slots,
+        tol=args.tol,
+        seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)),
+    )
+    write_trace_csv(args.trace, trace)
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
@@ -114,29 +130,17 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
 
 
 def cmd_validate(args) -> int:
-    net, err = _load(args.network)
+    net, code = _load_valid(args.network)
     if net is None:
-        print(err, file=sys.stderr)
-        return EXIT_PARSE
-    report = validate_network(net)
-    if report.ok:
-        print(f"network OK: n={net.n}, edges={len(net.edge_list())}, delta={net.delta}")
-        return EXIT_OK
-    for violation in report.violations:
-        print(f"violation: {violation}")
-    return EXIT_INVALID
+        return code
+    print(f"network OK: n={net.n}, edges={len(net.edge_list())}, delta={net.delta}")
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    net, err = _load(args.network)
+    net, code = _load_valid(args.network)
     if net is None:
-        print(err, file=sys.stderr)
-        return EXIT_PARSE
-    report = validate_network(net)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}")
-        return EXIT_INVALID
+        return code
 
     ens = simulate_ensemble(net, replicas=args.replicas, max_slots=args.max_slots, tol=args.tol, seed=args.seed)
     print(f"replicas: {ens.replicas}")
@@ -147,28 +151,16 @@ def cmd_simulate(args) -> int:
     print(f"mean slots: {ens.mean_slots:.1f}, max slots: {ens.max_slots_used}")
 
     if args.trace:
-        trace = run_replica(
-            net,
-            max_slots=args.max_slots,
-            tol=args.tol,
-            seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)),
-        )
-        write_trace_csv(args.trace, trace)
+        _write_trace(net, args)
         print(f"trace written to {args.trace}")
 
     return EXIT_OK if ens.converged_count > 0 else EXIT_NO_CONVERGENCE
 
 
 def cmd_analyze(args) -> int:
-    net, err = _load(args.network)
+    net, code = _load_valid(args.network)
     if net is None:
-        print(err, file=sys.stderr)
-        return EXIT_PARSE
-    report = validate_network(net)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}")
-        return EXIT_INVALID
+        return code
 
     config = RunConfig(
         command="analyze",
@@ -200,13 +192,7 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(text)
 
     if args.trace:
-        trace = run_replica(
-            net,
-            max_slots=args.max_slots,
-            tol=args.tol,
-            seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)),
-        )
-        write_trace_csv(args.trace, trace)
+        _write_trace(net, args)
 
     return EXIT_OK if ok else EXIT_PARTIAL
 

@@ -113,12 +113,6 @@ def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.
     return out
 
 
-def _grown(buf: np.ndarray, rows: int) -> np.ndarray:
-    out = np.empty((rows,) + buf.shape[1:], dtype=buf.dtype)
-    out[: buf.shape[0]] = buf
-    return out
-
-
 def run_replica(
     net: AcquaintanceNetwork,
     max_slots: int = 10**6,
@@ -131,6 +125,11 @@ def run_replica(
     ``record_every`` controls snapshot density (default: one per n slots;
     0 disables recording except for the initial and final states).
     Deterministic for a fixed (network, parameters, seed).
+
+    The willingness values stay a list for the whole replica.  Each chunk
+    of uniforms is drawn no longer than the slots left in ``max_slots``,
+    so ``kernels.gossip_chunk`` never sees the budget; the kernel appends
+    the recorded states to one list, turned into arrays once at the end.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -141,62 +140,37 @@ def run_replica(
     rng = np.random.Generator(np.random.Philox(seq))
 
     nbr_idx, nbr_cum, row_start = build_sampler(net)
-    w = np.array(net.w0, dtype=np.float64, copy=True)
-    spread = float(w.max() - w.min())
-
-    # Two rows hold the initial and final states; the buffers grow as
-    # chunks are drawn, so memory follows the slots actually simulated.
-    rec_w = np.empty((2, n))
-    rec_spread = np.empty(2)
-    rec_slots = np.empty(2, dtype=np.int64)
-    rec_w[0] = w
-    rec_spread[0] = spread
-    rec_slots[0] = 0
-    rec_count = 1
+    w0 = np.asarray(net.w0, dtype=np.float64)
+    spread = float(w0.max() - w0.min())
+    w = w0.tolist()
+    records = [(0, spread, w.copy())]
 
     slot = 0
     monotone = True
     chunk = 4 * n
-    status = kernels.CONVERGED if spread <= tol else kernels.CHUNK_EXHAUSTED
-    while status == kernels.CHUNK_EXHAUSTED:
-        remaining = max_slots - slot
-        if remaining <= 0:
-            status = kernels.BUDGET_EXHAUSTED
-            break
+    while not spread <= tol and slot < max_slots:
         # Slots drawn past convergence are wasted, so chunks start at 4n and
         # double; the Philox stream does not depend on the chunk sizes.
-        count = min(chunk, _CHUNK_SLOTS, remaining)
+        count = min(chunk, _CHUNK_SLOTS, max_slots - slot)
         chunk *= 2
-        if record_every > 0:
-            # the chunk's records, plus the final state appended below
-            need = rec_count + count // record_every + 2
-            if need > rec_slots.shape[0]:
-                rows = max(need, 2 * rec_slots.shape[0])
-                rec_w, rec_spread, rec_slots = (
-                    _grown(rec_w, rows), _grown(rec_spread, rows), _grown(rec_slots, rows)
-                )
-        uniforms = rng.random((count, 3))
-        slot, spread, rec_count, status, chunk_monotone = kernels.gossip_chunk(
-            w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta),
-            float(tol), uniforms, slot, max_slots, spread,
-            record_every, rec_w, rec_spread, rec_slots, rec_count,
+        slot, spread, chunk_monotone = kernels.gossip_chunk(
+            w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), float(tol),
+            rng.random((count, 3)), slot, spread, record_every, records,
         )
-        monotone = monotone and bool(chunk_monotone)
+        monotone = monotone and chunk_monotone
 
-    if rec_slots[rec_count - 1] != slot:
-        rec_w[rec_count] = w
-        rec_spread[rec_count] = spread
-        rec_slots[rec_count] = slot
-        rec_count += 1
-
+    if records[-1][0] != slot:
+        records.append((slot, spread, w))
+    slots, spreads, snapshots = zip(*records)
+    final = np.array(w)
     return SimulationTrace(
-        slots=rec_slots[:rec_count].copy(),
-        snapshots=rec_w[:rec_count].copy(),
-        spread=rec_spread[:rec_count].copy(),
-        final=w,
-        value=float(w.mean()),
-        converged=(status == kernels.CONVERGED),
-        slots_used=int(slot),
+        slots=np.array(slots, dtype=np.int64),
+        snapshots=np.array(snapshots),
+        spread=np.array(spreads),
+        final=final,
+        value=float(final.mean()),
+        converged=spread <= tol,
+        slots_used=slot,
         monotone=monotone,
         seed=seed,
     )

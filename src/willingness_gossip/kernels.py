@@ -1,11 +1,13 @@
 """Hot inner loops: gossip slot iteration and conductance subset scan.
 
-The gossip kernel consumes pre-drawn uniforms, three per slot.  It first
-decodes a whole chunk of them into meetings with numpy
-(``decode_meetings``), then applies the meetings in one scalar loop
-(``_apply_meetings``) over Python lists, which index several times
-faster than numpy arrays element by element.  The loop tracks the
-running max and min instead of rescanning all n values every slot.
+The gossip kernel advances one replica through a chunk of pre-drawn
+uniforms, three per slot.  It decodes the whole chunk into meetings with
+numpy (``decode_meetings``), then applies them in one scalar loop over
+the replica's willingness list, which Python indexes several times faster
+than a numpy array element by element.  The loop tracks the running max
+and min instead of rescanning all n values every slot, and appends the
+recorded states to a list.  The caller sizes each chunk to the slots it
+may still spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset containing node 0 with numpy,
 in chunks of 2^14 subsets.
@@ -23,11 +25,6 @@ def backend() -> str:
     """Name of the kernel backend; perfbench reads it."""
     return "numpy"
 
-
-# Chunk status codes returned by the gossip kernel.
-CHUNK_EXHAUSTED = 0
-CONVERGED = 1
-BUDGET_EXHAUSTED = 2
 
 # Meeting kind codes returned by decode_meetings.
 KIND_REGULAR = 0
@@ -69,93 +66,6 @@ def decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms):
     return i, j, kind
 
 
-def _apply_meetings(
-    w,
-    i,
-    j,
-    kind,
-    mx,
-    mn,
-    delta,
-    tol,
-    slot,
-    max_slots,
-    prev_spread,
-    record_every,
-    rec_w,
-    rec_spread,
-    rec_slots,
-    rec_count,
-):
-    """Apply decoded meetings one slot at a time; the gossip kernel's loop.
-
-    Mutates the list ``w`` and the rec_* buffers in place; ``mx`` and
-    ``mn`` are the max and min of ``w`` on entry.  Averaging sets both
-    endpoints to their mean; influence moves the initiator toward the
-    partner with retention delta, clamped into the pre-meeting pair
-    interval so the willingness spread is exactly non-increasing in
-    floating point.  Either way the new values lie inside the old pair
-    interval, so the max and min can only change when an updated node held
-    one of them; only then (or when a comparison fails on a NaN) are they
-    recomputed.
-
-    Returns (slot, prev_spread, rec_count, status, monotone_ok).
-    """
-    monotone_ok = True
-    status = CHUNK_EXHAUSTED
-    for a, b, k in zip(i, j, kind):
-        if slot >= max_slots:
-            status = BUDGET_EXHAUSTED
-            break
-        inside = True
-        if k == KIND_REGULAR:
-            wa = w[a]
-            wb = w[b]
-            avg = 0.5 * (wa + wb)
-            w[a] = avg
-            w[b] = avg
-            inside = mn < wa < mx and mn < wb < mx
-        elif k == KIND_INFLUENCE:
-            wa = w[a]
-            wb = w[b]
-            v = delta * wa + (1.0 - delta) * wb
-            pair_lo = wa if wa < wb else wb
-            pair_hi = wa if wa > wb else wb
-            if v < pair_lo:
-                v = pair_lo
-            if v > pair_hi:
-                v = pair_hi
-            w[a] = v
-            inside = mn < wa < mx
-        # else persistent: no change
-        if not inside:
-            mx = w[0]
-            mn = w[0]
-            for v in w:
-                if v > mx:
-                    mx = v
-                if v < mn:
-                    mn = v
-
-        slot += 1
-        spread = mx - mn
-        if spread > prev_spread:
-            monotone_ok = False
-        prev_spread = spread
-
-        if record_every > 0 and slot % record_every == 0:
-            rec_slots[rec_count] = slot
-            rec_spread[rec_count] = spread
-            rec_w[rec_count, :] = w
-            rec_count += 1
-
-        if spread <= tol:
-            status = CONVERGED
-            break
-
-    return slot, prev_spread, rec_count, status, monotone_ok
-
-
 def conductance_scan(K: np.ndarray) -> float:
     """Exact conductance: evaluate all subsets containing node 0 in chunks."""
     n = K.shape[0]
@@ -178,60 +88,80 @@ def conductance_scan(K: np.ndarray) -> float:
 
 
 def gossip_chunk(
-    w,
-    nbr_idx,
-    nbr_cum,
-    row_start,
-    x,
-    y,
-    delta,
-    tol,
-    uniforms,
-    slot,
-    max_slots,
-    prev_spread,
-    record_every,
-    rec_w,
-    rec_spread,
-    rec_slots,
-    rec_count,
+    w, nbr_idx, nbr_cum, row_start, x, y, delta, tol, uniforms, slot, spread, record_every, records
 ):
-    """Advance the meeting process through one chunk of uniforms.
+    """Advance the meeting process by one slot per row of ``uniforms``.
 
-    Mutates ``w`` and the rec_* buffers in place; the buffers must have
-    room for every slot of the chunk that falls on a multiple of
-    ``record_every``.  Each slot draws an initiator uniformly, a partner
-    from the initiator's meeting row (CSR-style cumulative table) and a
-    meeting kind from (y, x, rest); see ``decode_meetings`` and
-    ``_apply_meetings``.
+    ``w`` is the list of willingness values, updated in place, and
+    ``spread`` its spread on entry.  Averaging sets both endpoints to their
+    mean; influence moves the initiator toward the partner with retention
+    delta, clamped into the pre-meeting pair interval so the spread is
+    exactly non-increasing in floating point.  Either way the new values
+    lie inside the old pair interval, so the max and min can only change
+    when an updated node held one of them; only then (or when a comparison
+    fails on a NaN) are they recomputed.
 
-    Returns (slot, prev_spread, rec_count, status, monotone_ok).
+    Every slot that is a multiple of ``record_every`` (0: none) appends
+    ``(slot, spread, w.copy())`` to ``records``.  The chunk ends early at
+    the slot where the spread drops to ``tol``.  Returns (slot, spread,
+    monotone), where monotone is false if the spread ever grew.
     """
     i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
-    values = w.tolist()
-    out = _apply_meetings(
-        values, i.tolist(), j.tolist(), kind.tolist(), float(w.max()), float(w.min()),
-        delta, tol, slot, max_slots, prev_spread, record_every, rec_w, rec_spread,
-        rec_slots, rec_count,
-    )
-    w[:] = values
-    return out
+    mx = max(w)
+    mn = min(w)
+    if any(v != v for v in w):  # like numpy's max and min, a NaN anywhere makes both NaN
+        mx = mn = float("nan")
+    monotone = True
+    for a, b, k in zip(i.tolist(), j.tolist(), kind.tolist()):
+        inside = True
+        if k == KIND_REGULAR:
+            wa = w[a]
+            wb = w[b]
+            avg = 0.5 * (wa + wb)
+            w[a] = avg
+            w[b] = avg
+            inside = mn < wa < mx and mn < wb < mx
+        elif k == KIND_INFLUENCE:
+            wa = w[a]
+            wb = w[b]
+            v = delta * wa + (1.0 - delta) * wb
+            pair_lo = wa if wa < wb else wb
+            pair_hi = wa if wa > wb else wb
+            if v < pair_lo:
+                v = pair_lo
+            if v > pair_hi:
+                v = pair_hi
+            w[a] = v
+            inside = mn < wa < mx
+        # else persistent: no change
+        if not inside:
+            # one pass in bytecode beats the max() and min() builtins here
+            mx = w[0]
+            mn = w[0]
+            for v in w:
+                if v > mx:
+                    mx = v
+                if v < mn:
+                    mn = v
+
+        slot += 1
+        prev = spread
+        spread = mx - mn
+        if spread > prev:
+            monotone = False
+        if record_every and slot % record_every == 0:
+            records.append((slot, spread, w.copy()))
+        if spread <= tol:
+            break
+    return slot, spread, monotone
 
 
 def warmup() -> None:
     """Run both kernels once on tiny inputs; perfbench times it at start-up."""
-    w = np.array([0.0, 1.0])
     nbr_idx = np.array([1, 0], dtype=np.int64)
-    nbr_cum = np.array([1.0, 1.0])
     row_start = np.array([0, 1, 2], dtype=np.int64)
-    x = np.zeros((2, 2))
-    y = np.ones((2, 2))
-    uniforms = np.full((2, 3), 0.25)
-    rec_w = np.zeros((4, 2))
-    rec_spread = np.zeros(4)
-    rec_slots = np.zeros(4, dtype=np.int64)
     gossip_chunk(
-        w, nbr_idx, nbr_cum, row_start, x, y, 0.5, 1e-9, uniforms,
-        0, 2, 1.0, 1, rec_w, rec_spread, rec_slots, 0,
+        [0.0, 1.0], nbr_idx, np.ones(2), row_start, np.zeros((2, 2)), np.ones((2, 2)),
+        0.5, 1e-9, np.full((2, 3), 0.25), 0, 1.0, 1, [],
     )
     conductance_scan(np.full((2, 2), 0.5))

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from willingness_gossip import kernels
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
 from willingness_gossip.network import serialize_network
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture()

@@ -1,7 +1,12 @@
+import copy
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from willingness_gossip.cli import main
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
@@ -192,6 +197,24 @@ class TestAnalyzeCommand:
         assert f"WG_{name}: {value!r}" in captured.err
         assert captured.out == ""
 
+    def test_bad_env_value_for_a_flag_the_command_lacks_is_ignored(self, influencer_pair_path, monkeypatch):
+        monkeypatch.setenv("WG_TOL", "abc")
+        assert main(["validate", "--network", influencer_pair_path]) == 0
+
+    def test_bad_env_value_is_usage_error(self, influencer_pair_path, capsys, monkeypatch):
+        monkeypatch.setenv("WG_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--network", influencer_pair_path, "--replicas", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and "'abc'" in captured.err
+        assert captured.out == ""
+
+    def test_flag_beats_bad_env_value(self, influencer_pair_path, capsys, monkeypatch):
+        monkeypatch.setenv("WG_TOL", "abc")
+        assert main(["analyze", "--network", influencer_pair_path, "--tol", "1e-6", "--replicas", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-6
+
 
 class TestReportLibrary:
     def test_zero_replicas_skips_simulation(self, influencer_pair):
@@ -224,3 +247,37 @@ class TestReportLibrary:
         assert payload["config"]["seed"] == 5
         assert payload["config"]["network"] == "some/path.json"
         assert payload["version"] == "willingness-gossip-report/1"
+
+
+BASE_DOC = json.loads(serialize_network(random_network(np.random.default_rng(2), 3)))
+DELETE = object()
+FIELDS = [("n",), ("delta",), ("w0",)] + [("w0", k) for k in range(3)]
+FIELDS += [("edges", k, key) for k in range(len(BASE_DOC["edges"])) for key in ("from", "to", "p", "x", "y", "z")]
+# Arbitrary JSON, plus in-range numbers so that some documents still parse
+# or even validate and reach the analysis.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+) | st.floats(0.0, 1.0) | st.integers(-1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(FIELDS), JSON_VALUES | st.just(DELETE)), min_size=1, max_size=3))
+def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutations):
+    doc = copy.deepcopy(BASE_DOC)
+    for (*parents, key), value in mutations:
+        try:
+            target = functools.reduce(operator.getitem, parents, doc)
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation deleted or replaced the parent
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN / Infinity tokens included
+    rc = main(["validate", "--network", str(path)])
+    code = main(["analyze", "--network", str(path), "--replicas", "2", "--max-slots", "5000"])
+    assert rc in (0, 1, 2)
+    assert code == rc if rc else code in (0, 4)

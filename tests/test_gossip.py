@@ -148,11 +148,12 @@ class TestRunReplica:
         trace = run_replica(net, seed=0)
         assert trace.converged and trace.slots_used == 0
 
-    def test_budget_exhaustion(self, rng):
+    @pytest.mark.parametrize("max_slots", [1, 37, 41])  # 41 = 4n + 1: one slot into the second chunk
+    def test_budget_exhaustion(self, rng, max_slots):
         net = random_network(rng, 10)
-        trace = run_replica(net, max_slots=1, tol=1e-12, seed=0)
+        trace = run_replica(net, max_slots=max_slots, tol=1e-12, seed=0)
         assert not trace.converged
-        assert trace.slots_used == 1
+        assert trace.slots_used == max_slots == trace.slots[-1]
 
     def test_spread_monotone_and_hull_confined(self, rng):
         for _ in range(10):

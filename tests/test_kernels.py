@@ -10,20 +10,15 @@ from willingness_gossip.gossip import apply_meeting, build_sampler
 
 
 def drive(net, uniforms, tol=1e-9):
+    """Run one chunk from w0 at slot 0, recording every slot."""
     nbr_idx, nbr_cum, row_start = build_sampler(net)
-    w = net.w0.copy()
-    n = net.n
-    rec_w = np.zeros((uniforms.shape[0] + 2, n))
-    rec_spread = np.zeros(uniforms.shape[0] + 2)
-    rec_slots = np.zeros(uniforms.shape[0] + 2, dtype=np.int64)
-    rec_w[0] = w
-    rec_spread[0] = w.max() - w.min()
+    w = net.w0.tolist()
+    records = []
     out = kernels.gossip_chunk(
         w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), tol,
-        uniforms, 0, uniforms.shape[0], float(w.max() - w.min()),
-        1, rec_w, rec_spread, rec_slots, 1,
+        uniforms, 0, float(net.w0.max() - net.w0.min()), 1, records,
     )
-    return w, rec_w, rec_spread, out
+    return w, records, out
 
 
 def test_decode_meetings_matches_per_row_searchsorted(rng):
@@ -62,9 +57,9 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
     # values in {0, 1} only: several nodes tie for the max and the min
     net = dataclasses.replace(base, w0=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
     uniforms = np.random.default_rng(11).random((3000, 3))
-    w, rec_w, rec_spread, out = drive(net, uniforms)
-    slots_used = out[0]
+    w, records, (slots_used, spread_out, monotone_out) = drive(net, uniforms)
     assert slots_used > 100
+    assert len(records) == slots_used
 
     i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
     ref = net.w0.copy()
@@ -75,31 +70,27 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
         spread = ref.max() - ref.min()
         monotone = monotone and spread <= prev
         prev = spread
-        assert np.array_equal(rec_w[t + 1], ref), t
-        assert rec_spread[t + 1] == spread
+        slot, rec_spread, rec_w = records[t]
+        assert slot == t + 1
+        assert np.array_equal(rec_w, ref), t
+        assert rec_spread == spread
     assert np.array_equal(w, ref)
-    assert out[1] == prev
-    assert out[2] == slots_used + 1
-    assert out[4] == monotone
-    assert (out[3] == kernels.CONVERGED) == (prev <= 1e-9)
+    assert spread_out == prev
+    assert monotone_out == monotone
+    assert (prev <= 1e-9) == (slots_used < uniforms.shape[0])
 
 
-def test_status_codes_cover_all_outcomes(regular_pair):
-    # convergence inside the chunk
-    uniforms = np.full((4, 3), 0.25)
-    _, _, _, out = drive(regular_pair, uniforms)
-    assert out[3] == kernels.CONVERGED
-    # budget smaller than the chunk
-    nbr_idx, nbr_cum, row_start = build_sampler(regular_pair)
-    w = regular_pair.w0.copy()
-    rec = np.zeros((8, 2))
-    out = kernels.gossip_chunk(
-        w, nbr_idx, nbr_cum, row_start, regular_pair.x, regular_pair.y, 0.5, 1e-30,
-        np.full((4, 3), 0.25), 2, 2, 1.0, 0, rec, np.zeros(8), np.zeros(8, dtype=np.int64), 0,
-    )
-    assert out[3] == kernels.BUDGET_EXHAUSTED
+def test_chunk_stops_at_the_slot_where_spread_reaches_tol(regular_pair):
+    w, records, (slot, spread, monotone) = drive(regular_pair, np.full((4, 3), 0.25))
+    assert (slot, spread, monotone) == (1, 0.0, True)
+    assert w == [0.5, 0.5]
+    assert records == [(1, 0.0, [0.5, 0.5])]
 
 
 def test_backend_reports_name():
     assert kernels.backend() == "numpy"
     assert not kernels.NUMBA_ENABLED
+
+
+def test_warmup_runs_both_kernels():
+    kernels.warmup()  # perfbench times this call at start-up
