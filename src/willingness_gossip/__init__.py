@@ -26,7 +26,6 @@ from .impact import (
 from .meanfield import (
     MeanMatrices,
     PassageData,
-    StationaryDistribution,
     build_mean_matrices,
     build_passage_data,
     fundamental_matrix,

@@ -222,40 +222,6 @@ def simulate_ensemble(
     )
 
 
-def empirical_mean_update(net: AcquaintanceNetwork, count: int, rng: np.random.Generator):
-    """Monte-Carlo estimate of the mean one-slot update matrix.
-
-    Samples ``count`` meetings, accumulates the induced update matrices
-    entrywise and returns (mean, stderr) arrays; a cross-check of the
-    analytic mean matrices at 3-sigma resolution.
-    """
-    n = net.n
-    i, j, kind = sample_meetings_batch(net, count, rng)
-    dsum = np.zeros((n, n))
-    dsq = np.zeros((n, n))
-
-    reg = kind == kernels.KIND_REGULAR
-    inf = kind == kernels.KIND_INFLUENCE
-    one_minus_delta = 1.0 - net.delta
-    # Averaging meeting deviation from I: -1/2 at (i,i),(j,j); +1/2 at (i,j),(j,i)
-    for rows, cols, val in (
-        (i[reg], i[reg], -0.5),
-        (j[reg], j[reg], -0.5),
-        (i[reg], j[reg], 0.5),
-        (j[reg], i[reg], 0.5),
-        # Influence meeting deviation: -(1-delta) at (i,i); +(1-delta) at (i,j)
-        (i[inf], i[inf], -one_minus_delta),
-        (i[inf], j[inf], one_minus_delta),
-    ):
-        np.add.at(dsum, (rows, cols), val)
-        np.add.at(dsq, (rows, cols), val * val)
-
-    mean = np.eye(n) + dsum / count
-    var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
-    stderr = np.sqrt(var / count)
-    return mean, stderr
-
-
 def write_trace_csv(path: str, trace: SimulationTrace) -> None:
     """Trace export: one row per recorded slot, columns slot,node_*,spread."""
     n = trace.snapshots.shape[1]

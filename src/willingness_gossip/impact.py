@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Thm6InapplicableError
-from .meanfield import PassageData
+from .meanfield import fundamental_solve
 from .network import AcquaintanceNetwork, EdgePartition, edge_partition
 
 ZERO_IMPACT_FLOOR = 1e-13
@@ -70,24 +70,28 @@ def impact_exact(pi_bar: np.ndarray) -> np.ndarray:
 def impact_thm5(
     net: AcquaintanceNetwork,
     pi_bar: np.ndarray,
-    passage: PassageData,
+    K: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Impact through the passage-time identity, plus residuals vs exact.
 
-    Evaluates, per node k,
+    Evaluates, per node k, with m the mean first passage times of the
+    social matrix K,
 
         (1/(2 n^2)) sum_ij p_ij x_ij ((1 - 2 delta) pi_i + pi_j) (m_ik - m_jk)
 
     which is algebraically exact for any valid network.  The second
     coefficient is the stationary weight of the influencer j (the
-    derivation combines (1/2 - delta) pi_i with (1/2) pi_j).
+    derivation combines (1/2 - delta) pi_i with (1/2) pi_j).  The sum is
+    m^T w / (2 n^2) for per-node weights w; since w sums to 0 and K is
+    symmetric, that equals -Z w / (2n) with Z = inv(I - K + J/n), so m is
+    never formed.
     """
     n = net.n
     pi_bar = np.asarray(pi_bar, dtype=float)
     q = net.p * net.x
     coef = q * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
     weights = coef.sum(axis=1) - coef.sum(axis=0)
-    values = passage.m.T @ weights / (2.0 * n * n)
+    values = -fundamental_solve(K, weights) / (2.0 * n)
     residual = np.abs(values - impact_exact(pi_bar))
     return values, residual
 
@@ -229,12 +233,12 @@ def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
 def build_impact_report(
     net: AcquaintanceNetwork,
     pi_bar: np.ndarray,
-    passage: PassageData,
+    K: np.ndarray,
     psi: float | None,
 ) -> ImpactReport:
     """Assemble every impact route plus the premium ranking."""
     exact = impact_exact(pi_bar)
-    thm5, thm5_res = impact_thm5(net, pi_bar, passage)
+    thm5, thm5_res = impact_thm5(net, pi_bar, K)
     thm6, thm6_res, thm6_reason = try_thm6(net, exact)
     return ImpactReport(
         exact=exact,

@@ -5,9 +5,12 @@ splits into a symmetric doubly stochastic social part ``K`` (meeting
 structure only) plus a zero-row-sum influence part ``L`` (all the
 asymmetry).  The stationary distribution of ``Wbar = K + L`` weighs each
 user's pull on the consensus value; the fundamental matrix and mean first
-passage times of ``K`` power the per-user impact identities.
+passage times of ``K`` power the per-user impact identities.  The report
+uses them only through matrix-vector products, so it takes those by one
+linear solve (:func:`fundamental_solve`); the full matrices remain as
+reference routines.
 
-All computations are dense; the intended scale is n <= 200.
+All computations are dense; the intended scale is n <= 2000.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 from .errors import NumericalError
 from .network import AcquaintanceNetwork, reachable
 
+# Bound on the 1-norm condition number of the stationary system; the
+# 2-norm value differs from it by at most a factor n either way.
 COND_LIMIT = 1e12
 
 
@@ -35,19 +40,6 @@ class MeanMatrices:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Left fixed-point of the mean update matrix, with its method tag."""
-
-    pi_bar: np.ndarray
-    method: str  # "eigen" (direct linear solve) or "perturbation"
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.pi_bar, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "pi_bar", arr)
 
 
 @dataclass(frozen=True)
@@ -93,59 +85,72 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     return MeanMatrices(Wbar=K + L, K=K, L=L)
 
 
-def stationary_distribution(mm: MeanMatrices) -> StationaryDistribution:
+def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
     """Stationary distribution of Wbar by direct dense linear solve.
 
     Solves the left fixed-point equations with one equation replaced by
-    the normalization sum(pi) = 1 (partial-pivot LU underneath).
+    the normalization sum(pi) = 1 (partial-pivot LU underneath), and
+    returns pi as a read-only array.
 
     Raises
     ------
     NumericalError
-        If the system is singular or its condition number exceeds 1e12.
+        If the system is singular or its 1-norm condition number exceeds
+        ``COND_LIMIT``.
     """
     n = mm.Wbar.shape[0]
     A = mm.Wbar.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    cond = np.linalg.cond(A)
+    cond = np.linalg.cond(A, 1)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"stationary solve too ill-conditioned (cond={cond:.3e})")
     try:
         pi = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"stationary solve failed: {exc}") from exc
-    return StationaryDistribution(pi_bar=_cleanup_distribution(pi), method="eigen")
+    return _cleanup_distribution(pi)
 
 
 def _cleanup_distribution(pi: np.ndarray) -> np.ndarray:
     if pi.min() < -1e-8:
         raise NumericalError(f"stationary solve produced negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+    pi = pi / pi.sum()
+    pi.flags.writeable = False
+    return pi
 
 
-def fundamental_matrix(K: np.ndarray) -> np.ndarray:
-    """Deviation-series matrix Y = sum_k (K^k - K_inf) of the social chain.
+def fundamental_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``Z @ rhs`` with ``Z = inv(I - K + K_inf)``, ``K_inf = ones/n``, by one solve.
 
-    Computed in closed form as inv(I - K + K_inf) - K_inf with
-    K_inf = ones/n, valid because K is doubly stochastic and irreducible.
-    Irreducibility is checked first: node 0 must reach every node along
-    the off-diagonal support of K (symmetric, so one search suffices).
-    Raises ValueError for a reducible K.
+    ``K`` is a doubly stochastic social matrix.  Irreducibility is checked
+    first: node 0 must reach every node along the off-diagonal support of
+    K (symmetric, so one search suffices).  Raises ValueError for a
+    reducible K.
     """
     n = K.shape[0]
     off = K > 0.0
     np.fill_diagonal(off, False)
     if not reachable(off, np.arange(n) == 0)[0].all():
         raise ValueError("social matrix is reducible; fundamental matrix undefined")
-    Kinf = np.full((n, n), 1.0 / n)
     try:
-        Z = np.linalg.inv(np.eye(n) - K + Kinf)
+        return np.linalg.solve(np.eye(n) - K + 1.0 / n, rhs)
     except np.linalg.LinAlgError as exc:  # cannot occur for irreducible K
-        raise NumericalError(f"fundamental matrix inversion failed: {exc}") from exc
-    return Z - Kinf
+        raise NumericalError(f"fundamental solve failed: {exc}") from exc
+
+
+def fundamental_matrix(K: np.ndarray) -> np.ndarray:
+    """Deviation-series matrix Y = sum_k (K^k - K_inf) of the social chain.
+
+    Computed in closed form as inv(I - K + K_inf) - K_inf, valid because
+    K is doubly stochastic and irreducible (checked by
+    :func:`fundamental_solve`).  A reference routine: the report never
+    forms Y.
+    """
+    n = K.shape[0]
+    return fundamental_solve(K, np.eye(n)) - 1.0 / n
 
 
 def mean_first_passage(Y: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -168,24 +173,24 @@ def build_passage_data(K: np.ndarray) -> PassageData:
     return PassageData(Y=Y, m=m)
 
 
-def stationary_perturbation(mm: MeanMatrices, Y: np.ndarray) -> StationaryDistribution:
+def stationary_perturbation(mm: MeanMatrices) -> np.ndarray:
     """Stationary distribution via the influence-perturbation identity.
 
-    Treats Wbar as the social chain K perturbed by L and evaluates
+    Treats Wbar as the social chain K perturbed by L.  With Y the
+    fundamental matrix of K, the identity
 
         (pi_bar - e/n)^T = (1/n) e^T (LY) (I - LY)^{-1}
 
-    with ``Y`` the fundamental matrix of ``mm.K`` (from
-    :func:`fundamental_matrix`, or ``build_passage_data(mm.K).Y`` so one
-    analysis inverts it once).  Algebraically exact, and an independent
-    cross-check for :func:`stationary_distribution`.
+    reduces, because L e = 0 and Y = Z - J/n, to the single solve
+
+        (I - Wbar^T + J/n) pi_bar = e/n.
+
+    A second, differently posed dense solve of Wbar's fixed point, which
+    cross-checks :func:`stationary_distribution`.
     """
-    n = mm.K.shape[0]
-    M = mm.L @ Y
-    rhs = M.T @ np.full(n, 1.0 / n)
+    n = mm.Wbar.shape[0]
     try:
-        v = np.linalg.solve(np.eye(n) - M.T, rhs)
+        pi = np.linalg.solve(np.eye(n) - mm.Wbar.T + 1.0 / n, np.full(n, 1.0 / n))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"perturbation solve failed (I - LY singular): {exc}") from exc
-    pi = np.full(n, 1.0 / n) + v
-    return StationaryDistribution(pi_bar=_cleanup_distribution(pi), method="perturbation")
+        raise NumericalError(f"perturbation solve failed (I - Wbar^T + J/n singular): {exc}") from exc
+    return _cleanup_distribution(pi)

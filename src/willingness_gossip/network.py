@@ -19,6 +19,7 @@ from .errors import NetworkFormatError, NotStronglyConnectedError
 
 ROW_SUM_TOL = 1e-9
 TYPE_SUM_TOL = 1e-9
+MAX_N = 5000  # largest accepted network; one dense n x n float matrix is then ~200 MB
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,9 @@ def parse_network(text: str) -> AcquaintanceNetwork:
     The document carries ``n``, ``delta``, ``w0`` and an ``edges`` array of
     ``{"from", "to", "p", "x", "y", "z"}`` objects; ordered pairs absent
     from ``edges`` have meeting probability 0.  Structural problems raise
-    :class:`NetworkFormatError` naming the offending key; semantic checks
-    are deferred to :func:`validate_network`.
+    :class:`NetworkFormatError` naming the offending key, as does an ``n``
+    above ``MAX_N`` (refused before any array is allocated); semantic
+    checks are deferred to :func:`validate_network`.
     """
     try:
         doc = json.loads(text)
@@ -140,6 +142,8 @@ def parse_network(text: str) -> AcquaintanceNetwork:
     n_raw = _require_key(doc, "n", "document")
     if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 1:
         raise NetworkFormatError(f"field 'n' must be a positive integer, got {n_raw!r}")
+    if n_raw > MAX_N:
+        raise NetworkFormatError(f"field 'n' = {n_raw} exceeds the supported maximum {MAX_N}")
     n = n_raw
 
     delta = _as_number(_require_key(doc, "delta", "document"), "delta")

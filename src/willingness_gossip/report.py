@@ -16,7 +16,9 @@ import numpy as np
 
 from .gossip import EnsembleSummary, simulate_ensemble
 from .impact import ImpactReport, build_impact_report
-from .meanfield import build_mean_matrices, build_passage_data, stationary_distribution, stationary_perturbation
+from .meanfield import build_mean_matrices, stationary_distribution, stationary_perturbation
+# Not called here: perfbench/tracing.py wraps report.build_passage_data by name.
+from .meanfield import build_passage_data  # noqa: F401
 from .network import AcquaintanceNetwork
 from .spectral import CONDUCTANCE_MAX_N, DEFAULT_MIXING_THRESHOLD, SpectralReport, build_spectral_report
 
@@ -168,15 +170,14 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
 
     try:
         mm = build_mean_matrices(net)
-        eigen = stationary_distribution(mm)
-        passage = build_passage_data(mm.K)
-        pert = stationary_perturbation(mm, passage.Y)
-        pi = eigen.pi_bar
+        primary = stationary_distribution(mm)
+        check = stationary_perturbation(mm)
+        pi = primary
         payload["stationary"] = {
             "pi": pi,
-            "method_primary": eigen.method,
-            "method_check": pert.method,
-            "cross_residual": float(np.max(np.abs(eigen.pi_bar - pert.pi_bar))),
+            "method_primary": "eigen",
+            "method_check": "perturbation",
+            "cross_residual": float(np.max(np.abs(primary - check))),
         }
     except Exception as exc:
         payload["stationary"] = {"failed": str(exc)}
@@ -203,7 +204,7 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
     if mm is not None and pi is not None:
         try:
             psi = spectral.conductance if spectral is not None else None
-            impact_report = build_impact_report(net, pi, passage, psi)
+            impact_report = build_impact_report(net, pi, mm.K, psi)
             payload["impact"] = _impact_section(impact_report)
         except Exception as exc:
             payload["impact"] = {"failed": str(exc)}

@@ -2,7 +2,49 @@ import numpy as np
 import pytest
 
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
+from willingness_gossip.gossip import sample_meetings_batch
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR
 from willingness_gossip.network import serialize_network
+
+
+def _empirical_mean_update(net, count: int, rng: np.random.Generator):
+    """Monte-Carlo estimate of the mean one-slot update matrix.
+
+    Samples ``count`` meetings, accumulates the induced update matrices
+    entrywise and returns (mean, stderr) arrays: the oracle that checks
+    the analytic mean matrices at 3-sigma resolution.
+    """
+    n = net.n
+    i, j, kind = sample_meetings_batch(net, count, rng)
+    dsum = np.zeros((n, n))
+    dsq = np.zeros((n, n))
+
+    reg = kind == KIND_REGULAR
+    inf = kind == KIND_INFLUENCE
+    one_minus_delta = 1.0 - net.delta
+    # Averaging meeting deviation from I: -1/2 at (i,i),(j,j); +1/2 at (i,j),(j,i)
+    for rows, cols, val in (
+        (i[reg], i[reg], -0.5),
+        (j[reg], j[reg], -0.5),
+        (i[reg], j[reg], 0.5),
+        (j[reg], i[reg], 0.5),
+        # Influence meeting deviation: -(1-delta) at (i,i); +(1-delta) at (i,j)
+        (i[inf], i[inf], -one_minus_delta),
+        (i[inf], j[inf], one_minus_delta),
+    ):
+        np.add.at(dsum, (rows, cols), val)
+        np.add.at(dsq, (rows, cols), val * val)
+
+    mean = np.eye(n) + dsum / count
+    var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
+    stderr = np.sqrt(var / count)
+    return mean, stderr
+
+
+@pytest.fixture()
+def empirical_mean_update():
+    """The sampled mean-matrix oracle, as a function (net, count, rng)."""
+    return _empirical_mean_update
 
 
 @pytest.fixture()

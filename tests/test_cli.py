@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from willingness_gossip.cli import main
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
-from willingness_gossip.network import serialize_network
+from willingness_gossip.network import MAX_N, serialize_network
 from willingness_gossip.report import RunConfig, analyze, render_json
 
 
@@ -69,6 +69,17 @@ class TestValidateCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_n_above_cap_is_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        doc = {"n": MAX_N + 1, "delta": 0.5, "w0": [0] * (MAX_N + 1), "edges": []}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the supported maximum" in err
+        assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_regular_pair(self, regular_pair_path, capsys):
         rc = main(["simulate", "--network", regular_pair_path, "--replicas", "20"])
@@ -119,6 +130,7 @@ class TestAnalyzeCommand:
         }
         assert payload["stationary"]["pi"] == [0.333333333333, 0.666666666667]
         assert payload["stationary"]["cross_residual"] <= 1e-10
+        assert (payload["stationary"]["method_primary"], payload["stationary"]["method_check"]) == ("eigen", "perturbation")
         assert payload["spectral"]["performance"] == pytest.approx(1.0 / 6.0, abs=1e-11)
         assert payload["spectral"]["bound_linf"] == 0.25
         assert payload["spectral"]["bound_l2"] == 0.5

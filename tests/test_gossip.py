@@ -15,7 +15,6 @@ from willingness_gossip.fixtures import (
 from willingness_gossip.gossip import (
     apply_meeting,
     build_sampler,
-    empirical_mean_update,
     run_replica,
     sample_meetings_batch,
     simulate_ensemble,
@@ -96,7 +95,7 @@ class TestSampling:
                     sigma = np.sqrt(prob * (1 - prob) * count)
                     assert abs(hits - prob * count) <= 3 * sigma + 1e-9, (a, b, code)
 
-    def test_mean_update_matches_analytic(self, rng):
+    def test_mean_update_matches_analytic(self, rng, empirical_mean_update):
         net = two_node_influencer()
         mean, stderr = empirical_mean_update(net, 50000, rng)
         wbar = build_mean_matrices(net).Wbar

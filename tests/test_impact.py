@@ -23,14 +23,19 @@ from willingness_gossip.impact import (
     try_thm6,
     render_impact_csv,
 )
-from willingness_gossip.meanfield import build_mean_matrices, build_passage_data, stationary_distribution
+from willingness_gossip.meanfield import (
+    build_mean_matrices,
+    fundamental_matrix,
+    mean_first_passage,
+    stationary_distribution,
+)
 from willingness_gossip.network import AcquaintanceNetwork, edge_partition
 from willingness_gossip.spectral import conductance
 
 
 def exact_pipeline(net):
     mm = build_mean_matrices(net)
-    pi = stationary_distribution(mm).pi_bar
+    pi = stationary_distribution(mm)
     return mm, pi, impact_exact(pi)
 
 
@@ -55,7 +60,7 @@ class TestPassageTimeIdentity:
     def test_influencer_pair_hand_values(self):
         net = two_node_influencer()
         mm, pi, exact = exact_pipeline(net)
-        values, residual = impact_thm5(net, pi, build_passage_data(mm.K))
+        values, residual = impact_thm5(net, pi, mm.K)
         # single influential term, delta=1/2 kills the first coefficient:
         # value_1 = (1/8) * pi_1 * (m_01 - m_11) = (1/8)(2/3)(2) = 1/6
         assert values[1] == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -67,9 +72,24 @@ class TestPassageTimeIdentity:
         for _ in range(30):
             net = random_network(rng, 10)
             mm, pi, exact = exact_pipeline(net)
-            _, residual = impact_thm5(net, pi, build_passage_data(mm.K))
+            _, residual = impact_thm5(net, pi, mm.K)
             worst = max(worst, float(residual.max()))
         assert worst <= 1e-8
+
+    def test_matches_passage_time_sum(self):
+        # oracle: the theorem's double sum over influential pairs, with the
+        # passage times m taken from the full fundamental matrix
+        nets = [random_network(np.random.default_rng(s), n) for s, n in enumerate((4, 9, 14, 19, 30, 50))]
+        worst = 0.0
+        for net in nets + [bridged_clusters(8, 9, influence=0.5)]:
+            mm, pi, _ = exact_pipeline(net)
+            n = net.n
+            m = mean_first_passage(fundamental_matrix(mm.K), np.full(n, 1.0 / n))
+            coef = net.p * net.x * ((1.0 - 2.0 * net.delta) * pi[:, None] + pi[None, :])
+            oracle = (np.einsum("ij,ik->k", coef, m) - np.einsum("ij,jk->k", coef, m)) / (2.0 * n * n)
+            values, _ = impact_thm5(net, pi, mm.K)
+            worst = max(worst, float(np.max(np.abs(values - oracle))))
+        assert worst <= 1e-12
 
 
 class TestBridgeClosedForm:
@@ -207,12 +227,12 @@ class TestRanking:
         # impacts depend only on the network, not on w0
         net = random_network(rng, 8)
         mm = build_mean_matrices(net)
-        pi = stationary_distribution(mm).pi_bar
+        pi = stationary_distribution(mm)
         order1 = [r.node for r in rank_clients(impact_exact(pi))]
         scaled = AcquaintanceNetwork(
             n=net.n, delta=net.delta, p=net.p, x=net.x, y=net.y, z=net.z, w0=net.w0 * 0.25
         )
-        pi2 = stationary_distribution(build_mean_matrices(scaled)).pi_bar
+        pi2 = stationary_distribution(build_mean_matrices(scaled))
         order2 = [r.node for r in rank_clients(impact_exact(pi2))]
         assert order1 == order2
 
@@ -220,7 +240,7 @@ class TestRanking:
 def test_report_and_csv():
     net = two_node_influencer()
     mm, pi, _ = exact_pipeline(net)
-    report = build_impact_report(net, pi, build_passage_data(mm.K), conductance(mm.K))
+    report = build_impact_report(net, pi, mm.K, conductance(mm.K))
     assert report.thm6 is not None
     assert report.thm6_residual <= 1e-12
     assert abs(report.exact.sum()) <= 1e-12
@@ -236,7 +256,7 @@ def test_report_and_csv():
 def test_csv_blank_cells_when_inapplicable(rng):
     net = random_network(rng, 5)
     mm, pi, _ = exact_pipeline(net)
-    report = build_impact_report(net, pi, build_passage_data(mm.K), None)
+    report = build_impact_report(net, pi, mm.K, None)
     assert report.thm7_bound is None and report.thm6 is None
     row = render_impact_csv(report).splitlines()[1].split(",")
     assert row[4] == "" and row[5] == ""

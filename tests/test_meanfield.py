@@ -9,7 +9,9 @@ from willingness_gossip.fixtures import (
     two_node_regular,
     without_influence,
 )
+from willingness_gossip.errors import NumericalError
 from willingness_gossip.meanfield import (
+    MeanMatrices,
     build_mean_matrices,
     build_passage_data,
     fundamental_matrix,
@@ -72,19 +74,29 @@ class TestMeanMatrices:
 class TestStationary:
     def test_influencer_pair(self):
         pi = stationary_distribution(build_mean_matrices(two_node_influencer()))
-        assert pi.method == "eigen"
-        np.testing.assert_allclose(pi.pi_bar, [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
+        np.testing.assert_allclose(pi, [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
+        assert not pi.flags.writeable and pi.flags.c_contiguous
 
     def test_no_influence_uniform(self, rng):
         net = without_influence(random_network(rng, 8))
         pi = stationary_distribution(build_mean_matrices(net))
-        np.testing.assert_allclose(pi.pi_bar, np.full(8, 1.0 / 8.0), atol=1e-12)
+        np.testing.assert_allclose(pi, np.full(8, 1.0 / 8.0), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "wbar",
+        [np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])],
+        ids=["identity", "block-reducible"],
+    )
+    def test_singular_system_is_refused(self, wbar):
+        mm = MeanMatrices(Wbar=wbar, K=wbar, L=np.zeros((3, 3)))
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            stationary_distribution(mm)
 
     def test_matches_power_iteration(self, rng):
         for _ in range(5):
             net = random_network(rng, int(rng.integers(3, 10)))
             mm = build_mean_matrices(net)
-            pi = stationary_distribution(mm).pi_bar
+            pi = stationary_distribution(mm)
             rows = power_iteration_rows(mm.Wbar)
             for i in range(net.n):
                 np.testing.assert_allclose(rows[i], pi, atol=1e-9)
@@ -92,13 +104,13 @@ class TestStationary:
     def test_strictly_positive(self, rng):
         for _ in range(10):
             net = random_network(rng, 8)
-            pi = stationary_distribution(build_mean_matrices(net)).pi_bar
+            pi = stationary_distribution(build_mean_matrices(net))
             assert pi.min() > 0.0
 
     def test_left_fixed_point(self, rng):
         net = random_network(rng, 10)
         mm = build_mean_matrices(net)
-        pi = stationary_distribution(mm).pi_bar
+        pi = stationary_distribution(mm)
         np.testing.assert_allclose(pi @ mm.Wbar, pi, atol=1e-9)
         assert abs(pi.sum() - 1.0) <= 1e-10
 
@@ -106,21 +118,20 @@ class TestStationary:
 class TestPerturbation:
     def test_no_influence_zero_correction(self, rng):
         mm = build_mean_matrices(without_influence(random_network(rng, 6)))
-        pi = stationary_perturbation(mm, fundamental_matrix(mm.K))
-        assert pi.method == "perturbation"
-        np.testing.assert_allclose(pi.pi_bar, np.full(6, 1.0 / 6.0), atol=1e-14)
+        pi = stationary_perturbation(mm)
+        np.testing.assert_allclose(pi, np.full(6, 1.0 / 6.0), atol=1e-14)
 
     def test_influencer_pair_correction(self):
         mm = build_mean_matrices(two_node_influencer())
-        pi = stationary_perturbation(mm, fundamental_matrix(mm.K))
-        np.testing.assert_allclose(pi.pi_bar - 0.5, [-1.0 / 6.0, 1.0 / 6.0], atol=1e-14)
+        pi = stationary_perturbation(mm)
+        np.testing.assert_allclose(pi - 0.5, [-1.0 / 6.0, 1.0 / 6.0], atol=1e-14)
 
     def test_agrees_with_direct_solve(self, rng):
         for _ in range(20):
             net = random_network(rng, 8)
             mm = build_mean_matrices(net)
-            a = stationary_distribution(mm).pi_bar
-            b = stationary_perturbation(mm, fundamental_matrix(mm.K)).pi_bar
+            a = stationary_distribution(mm)
+            b = stationary_perturbation(mm)
             assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -204,9 +215,7 @@ class TestMeanFirstPassage:
 
 
 class TestEmpiricalLaw:
-    def test_sampled_update_mean_matches_wbar(self):
-        from willingness_gossip.gossip import empirical_mean_update
-
+    def test_sampled_update_mean_matches_wbar(self, empirical_mean_update):
         for make, seed in ((two_node_influencer, 1), (two_node_regular, 2), (lambda: barbell(3), 3)):
             net = make()
             mean, stderr = empirical_mean_update(net, 10**5, np.random.default_rng(seed))

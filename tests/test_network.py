@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from willingness_gossip.errors import NetworkFormatError, NotStronglyConnectedError
 from willingness_gossip.fixtures import barbell, bridged_clusters, complete, cycle, path, random_network
 from willingness_gossip.network import (
+    MAX_N,
     AcquaintanceNetwork,
     diameter,
     edge_partition,
@@ -91,6 +92,11 @@ class TestParse:
     def test_invalid_json(self):
         with pytest.raises(NetworkFormatError, match="invalid JSON"):
             parse_network("{not json")
+
+    def test_n_above_cap_is_refused_before_allocation(self):
+        doc = {"n": MAX_N + 1, "delta": 0.5, "w0": [0] * (MAX_N + 1), "edges": []}
+        with pytest.raises(NetworkFormatError, match=f"'n' = {MAX_N + 1} exceeds"):
+            parse_network(json.dumps(doc))
 
     def test_round_trip_via_serialize(self, rng):
         for n in (3, 6, 9):

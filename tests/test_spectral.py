@@ -45,7 +45,7 @@ def brute_force_conductance(K):
 class TestPerformance:
     def test_no_influence_is_zero(self, rng):
         net = without_influence(random_network(rng, 7))
-        pi = stationary_distribution(build_mean_matrices(net)).pi_bar
+        pi = stationary_distribution(build_mean_matrices(net))
         P, gamma = performance(pi, net.w0)
         assert abs(P) <= 1e-12
         assert gamma == pytest.approx(net.w0.mean())
@@ -57,7 +57,7 @@ class TestPerformance:
 
     def test_constant_initial_vector(self, rng):
         net = random_network(rng, 6)
-        pi = stationary_distribution(build_mean_matrices(net)).pi_bar
+        pi = stationary_distribution(build_mean_matrices(net))
         P, _ = performance(pi, np.full(6, 0.37))
         assert abs(P) <= 1e-12
 
@@ -124,7 +124,7 @@ class TestBounds:
         for _ in range(50):
             net = random_network(rng, int(rng.integers(3, 13)))
             mm = build_mean_matrices(net)
-            pi = stationary_distribution(mm).pi_bar
+            pi = stationary_distribution(mm)
             dev = pi - 1.0 / net.n
             psi1, rho = theorem3_constants(net)
             lam2, _ = lambda2_gap(mm.K)
@@ -226,7 +226,7 @@ class TestClassify:
 
 def test_full_report_influencer_pair(influencer_pair):
     mm = build_mean_matrices(influencer_pair)
-    pi = stationary_distribution(mm).pi_bar
+    pi = stationary_distribution(mm)
     rep = build_spectral_report(influencer_pair, mm.K, pi)
     assert rep.d == 1
     assert rep.psi1 == pytest.approx(0.5)
