@@ -1,7 +1,6 @@
 """Gossip-driven willingness diffusion: simulator, spectral analysis, impact ranking."""
 
 from .errors import (
-    BoundInapplicableError,
     NetworkFormatError,
     NotStronglyConnectedError,
     NumericalError,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,13 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_PARTIAL = 4
 
 
+class EnvValue(NamedTuple):
+    """A WG_* variable's text, held as a flag default that argparse leaves unconverted."""
+
+    name: str
+    text: str
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgossip",
@@ -37,45 +45,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A WG_* value is a string default: argparse applies the flag's type to
-    # it only when the chosen subcommand has that flag and it is absent, and
-    # a bad value is then a usage error like a bad flag.
+    def env(name, fallback=None):
+        return EnvValue(name, os.environ[name]) if name in os.environ else fallback
+
     def add_common(p, simulation: bool):
         p.add_argument(
             "--network",
-            default=os.environ.get("WG_NETWORK"),
-            required=os.environ.get("WG_NETWORK") is None,
+            default=env("WG_NETWORK"),
+            required="WG_NETWORK" not in os.environ,
             help="path to the network JSON document",
         )
         if simulation:
-            p.add_argument("--replicas", type=int, default=os.environ.get("WG_REPLICAS", 1000))
-            p.add_argument("--max-slots", type=int, default=os.environ.get("WG_MAX_SLOTS", 10**6))
-            p.add_argument("--tol", type=float, default=os.environ.get("WG_TOL", 1e-6))
-            p.add_argument("--seed", type=int, default=os.environ.get("WG_SEED", 0))
+            p.add_argument("--replicas", type=int, default=env("WG_REPLICAS", 1000))
+            p.add_argument("--max-slots", type=int, default=env("WG_MAX_SLOTS", 10**6))
+            p.add_argument("--tol", type=float, default=env("WG_TOL", 1e-6))
+            p.add_argument("--seed", type=int, default=env("WG_SEED", 0))
 
     p_validate = sub.add_parser("validate", help="check the network invariants")
     add_common(p_validate, simulation=False)
 
     p_sim = sub.add_parser("simulate", help="run a replica ensemble")
     add_common(p_sim, simulation=True)
-    p_sim.add_argument("--trace", default=os.environ.get("WG_TRACE"), help="write replica 0's trace CSV here")
+    p_sim.add_argument("--trace", default=env("WG_TRACE"), help="write replica 0's trace CSV here")
 
     p_an = sub.add_parser("analyze", help="full spectral/impact report")
     add_common(p_an, simulation=True)
     p_an.add_argument(
         "--mixing-threshold",
         type=float,
-        default=os.environ.get("WG_MIXING_THRESHOLD", DEFAULT_MIXING_THRESHOLD),
+        default=env("WG_MIXING_THRESHOLD", DEFAULT_MIXING_THRESHOLD),
     )
     p_an.add_argument(
         "--conductance",
         choices=["exact", "skip"],
-        default=os.environ.get("WG_CONDUCTANCE"),
+        default=env("WG_CONDUCTANCE"),
         help="subset-enumeration mode (default: exact up to n=20, then skip)",
     )
-    p_an.add_argument("--format", choices=["json", "csv"], default=os.environ.get("WG_FORMAT", "json"))
-    p_an.add_argument("--out", default=os.environ.get("WG_OUT"), help="output path (default stdout)")
-    p_an.add_argument("--trace", default=os.environ.get("WG_TRACE"), help="write replica 0's trace CSV here")
+    p_an.add_argument("--format", choices=["json", "csv"], default=env("WG_FORMAT", "json"))
+    p_an.add_argument("--out", default=env("WG_OUT"), help="output path (default stdout)")
+    p_an.add_argument("--trace", default=env("WG_TRACE"), help="write replica 0's trace CSV here")
     return parser
 
 
@@ -111,14 +119,21 @@ def _write_trace(net, args) -> None:
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
-    # argparse checks choices only for flags on the command line; a WG_*
-    # value arrives as a default, so it is checked here against the same list.
+    # A WG_* value left as the default of a flag the chosen subcommand has
+    # is converted and checked here, against the flag's own type and choices.
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     for action in command._actions:
         value = getattr(args, action.dest, None)
-        if action.choices and value is not None and value not in action.choices:
+        if not isinstance(value, EnvValue):
+            continue
+        try:
+            converted = action.type(value.text) if action.type else value.text
+        except ValueError:
+            return f"invalid {action.type.__name__} value for {value.name}: {value.text!r}"
+        if action.choices and converted not in action.choices:
             choices = ", ".join(action.choices)
-            return f"invalid value for WG_{action.dest.upper()}: {value!r} (choose from {choices})"
+            return f"invalid value for {value.name}: {value.text!r} (choose from {choices})"
+        setattr(args, action.dest, converted)
     if getattr(args, "replicas", 1) < 1:
         return "--replicas must be >= 1"
     if getattr(args, "tol", 1.0) <= 0:

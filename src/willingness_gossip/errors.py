@@ -13,9 +13,5 @@ class NumericalError(RuntimeError):
     """Raised when a dense linear-algebra step fails or is too ill-conditioned."""
 
 
-class BoundInapplicableError(ValueError):
-    """Raised when a bound's contraction constant is undefined for the input."""
-
-
 class Thm6InapplicableError(ValueError):
     """Raised when the single-influential-bridge closed form does not apply."""

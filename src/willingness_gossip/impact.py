@@ -5,8 +5,10 @@ positive impact means the client drags the consensus above the plain
 average of initial willingness.  Three routes are computed: the exact
 value from the stationary distribution, an exact identity through mean
 first passage times, and (when a single influential bridge splits the
-network) a closed form in the two component sizes.  A conductance-based
-cap completes the picture for arbitrary topologies.
+network) a closed form in the two component sizes, which carries its
+residual against the exact value and otherwise the reason it does not
+apply.  A conductance-based cap completes the picture for arbitrary
+topologies.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import Thm6InapplicableError
 from .meanfield import fundamental_solve
-from .network import AcquaintanceNetwork, EdgePartition, edge_partition
+from .network import AcquaintanceNetwork, edge_partition
 
 ZERO_IMPACT_FLOOR = 1e-13
 
@@ -36,6 +38,7 @@ class Thm6Result:
     edge: tuple[int, int]
     side_i: frozenset[int]
     side_j: frozenset[int]
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class ImpactReport:
     thm5_residual: np.ndarray
     thm7_bound: float | None
     thm6: Thm6Result | None
-    thm6_residual: float | None
     thm6_reason: str | None
     ranking: list[ClientRank]
 
@@ -96,44 +98,33 @@ def impact_thm5(
     return values, residual
 
 
-def find_influential_edge(net: AcquaintanceNetwork) -> tuple[int, int]:
-    """The unique ordered pair carrying influence weight, or a refusal.
-
-    Raises Thm6InapplicableError unless exactly one ordered pair (i, j)
-    has p_ij * x_ij > 0 (two opposite influential directions on the same
-    pair count as multiple edges; the closed form assumes one).
-    """
-    q = net.p * net.x
-    pairs = np.argwhere(q > 0.0)
-    if pairs.shape[0] == 0:
-        raise Thm6InapplicableError("no influential edge")
-    if pairs.shape[0] > 1:
-        raise Thm6InapplicableError(f"multiple influential edges ({pairs.shape[0]})")
-    i, j = pairs[0]
-    return int(i), int(j)
-
-
-def impact_thm6(net: AcquaintanceNetwork, partition: EdgePartition) -> Thm6Result:
+def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     """Closed-form impacts when one influential bridge splits the network.
 
-    ``partition`` must be the bridge split of the unique influential edge
-    (i, j); every node on j's side shares the value proportional to
-    +|side_i|, every node on i's side the value proportional to
-    -|side_j|, with the common factor
+    Applies when exactly one ordered pair (i, j) has p_ij * x_ij > 0 (two
+    opposite influential directions on the same pair count as multiple
+    edges) and removing it splits the network.  Every node on j's side
+    then shares the value proportional to +|side_i|, every node on i's
+    side the value proportional to -|side_j|, with the common factor
 
         (2 / n^2) mu (1 - delta) / (1 - (mu/n)(|side_i| + (2 delta - 1)|side_j|)).
 
     The denominator follows from the rank-one influence part L and the
     bridge hitting time |side_i| / K_ij; it differs from the printed
     statement's (1 + 2 delta)|side_i| - |side_j|, which agrees only on
-    equal sides.  Reported alongside its residual against the exact impact
-    rather than trusted blindly.
+    equal sides.  Returned with its max absolute residual against
+    ``exact`` rather than trusted blindly; raises Thm6InapplicableError,
+    with the reason the report prints, where the form does not apply.
     """
-    i, j = find_influential_edge(net)
-    if (i, j) != tuple(partition.removed_edge):
-        raise Thm6InapplicableError(
-            f"partition edge {partition.removed_edge} is not the influential edge ({i}, {j})"
-        )
+    pairs = np.argwhere(net.p * net.x > 0.0)
+    if pairs.shape[0] == 0:
+        raise Thm6InapplicableError("no influential edge")
+    if pairs.shape[0] > 1:
+        raise Thm6InapplicableError(f"multiple influential edges ({pairs.shape[0]})")
+    i, j = map(int, pairs[0])
+    partition = edge_partition(net, i, j)
+    if partition is None:
+        raise Thm6InapplicableError(f"influential edge ({i}, {j}) is not a bridge")
     n = net.n
     mu = float(
         net.p[i, j] * net.x[i, j]
@@ -150,29 +141,14 @@ def impact_thm6(net: AcquaintanceNetwork, partition: EdgePartition) -> Thm6Resul
         values[k] = base * size_i
     for k in partition.side_i:
         values[k] = -base * size_j
-    return Thm6Result(values=values, mu=mu, edge=(i, j), side_i=partition.side_i, side_j=partition.side_j)
-
-
-def try_thm6(net: AcquaintanceNetwork, exact: np.ndarray):
-    """Attempt the bridge closed form; returns (result, residual, reason).
-
-    ``result`` is None with a human-readable ``reason`` when the network
-    has no single influential bridge; otherwise ``residual`` is the max
-    absolute gap between the closed form and the exact impacts.
-    """
-    try:
-        i, j = find_influential_edge(net)
-    except Thm6InapplicableError as exc:
-        return None, None, str(exc)
-    partition = edge_partition(net, i, j)
-    if partition is None:
-        return None, None, f"influential edge ({i}, {j}) is not a bridge"
-    try:
-        result = impact_thm6(net, partition)
-    except Thm6InapplicableError as exc:
-        return None, None, str(exc)
-    residual = float(np.max(np.abs(result.values - exact)))
-    return result, residual, None
+    return Thm6Result(
+        values=values,
+        mu=mu,
+        edge=(i, j),
+        side_i=partition.side_i,
+        side_j=partition.side_j,
+        residual=float(np.max(np.abs(values - exact))),
+    )
 
 
 def impact_thm7_bound(net: AcquaintanceNetwork, psi: float | None) -> float | None:
@@ -239,14 +215,17 @@ def build_impact_report(
     """Assemble every impact route plus the premium ranking."""
     exact = impact_exact(pi_bar)
     thm5, thm5_res = impact_thm5(net, pi_bar, K)
-    thm6, thm6_res, thm6_reason = try_thm6(net, exact)
+    thm6, thm6_reason = None, None
+    try:
+        thm6 = impact_thm6(net, exact)
+    except Thm6InapplicableError as exc:
+        thm6_reason = str(exc)
     return ImpactReport(
         exact=exact,
         thm5=thm5,
         thm5_residual=thm5_res,
         thm7_bound=impact_thm7_bound(net, psi),
         thm6=thm6,
-        thm6_residual=thm6_res,
         thm6_reason=thm6_reason,
         ranking=rank_clients(exact),
     )

@@ -102,28 +102,6 @@ def _simulation_section(net: AcquaintanceNetwork, pi_bar: np.ndarray, ens: Ensem
     }
 
 
-def _impact_section(report: ImpactReport) -> dict:
-    thm6 = None
-    if report.thm6 is not None:
-        thm6 = {
-            "values": report.thm6.values,
-            "mu": report.thm6.mu,
-            "edge": list(report.thm6.edge),
-            "side_i": sorted(report.thm6.side_i),
-            "side_j": sorted(report.thm6.side_j),
-            "residual": report.thm6_residual,
-        }
-    return {
-        "exact": report.exact,
-        "thm5": report.thm5,
-        "thm5_residual": report.thm5_residual,
-        "thm7_bound": report.thm7_bound,
-        "thm6": thm6,
-        "thm6_reason": report.thm6_reason,
-        "ranking": [dataclasses.asdict(r) for r in report.ranking],
-    }
-
-
 def _verdicts(spectral: SpectralReport, impact: ImpactReport) -> dict:
     if spectral.mixing_class == "slow":
         note = (
@@ -205,7 +183,7 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
         try:
             psi = spectral.conductance if spectral is not None else None
             impact_report = build_impact_report(net, pi, mm.K, psi)
-            payload["impact"] = _impact_section(impact_report)
+            payload["impact"] = dataclasses.asdict(impact_report)
         except Exception as exc:
             payload["impact"] = {"failed": str(exc)}
             ok = False

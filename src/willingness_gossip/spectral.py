@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundInapplicableError
 from .network import AcquaintanceNetwork, diameter
 
 CONDUCTANCE_MAX_N = 20
@@ -86,10 +85,13 @@ def theorem3_constants(net: AcquaintanceNetwork, d: int | None = None) -> tuple[
     return psi1, rho_constant(n, psi1, d)
 
 
-def bound_linf(net: AcquaintanceNetwork, psi1: float, rho: float | None) -> float:
-    """Sup-norm cap on pi_bar - e/n: influence mass / (2n(1 - rho))."""
+def bound_linf(net: AcquaintanceNetwork, psi1: float, rho: float | None) -> float | None:
+    """Sup-norm cap on pi_bar - e/n: influence mass / (2n(1 - rho)).
+
+    None when rho is not a contraction rate in [0, 1).
+    """
     if rho is None or rho >= 1.0:
-        raise BoundInapplicableError(f"contraction rate rho={rho} not in [0, 1)")
+        return None
     return net.influence_mass / (2.0 * net.n * (1.0 - rho))
 
 
@@ -108,10 +110,13 @@ def lambda2_gap(K: np.ndarray) -> tuple[float, float]:
     return lam2, 1.0 - lam2
 
 
-def bound_l2(net: AcquaintanceNetwork, lambda2: float) -> float:
-    """Euclidean cap on pi_bar - e/n: influence mass / (n(1 - lambda2))."""
+def bound_l2(net: AcquaintanceNetwork, lambda2: float) -> float | None:
+    """Euclidean cap on pi_bar - e/n: influence mass / (n(1 - lambda2)).
+
+    None when the spectral gap is closed (lambda2 >= 1).
+    """
     if lambda2 >= 1.0:
-        raise BoundInapplicableError(f"spectral gap closed (lambda2={lambda2})")
+        return None
     return net.influence_mass / (net.n * (1.0 - lambda2))
 
 
@@ -158,16 +163,8 @@ def build_spectral_report(
     lam2, gap = lambda2_gap(K)
     P, gamma = performance(pi_bar, net.w0)
 
-    try:
-        b_linf = bound_linf(net, psi1, rho)
-        b_exp = bound_expectation(net, b_linf, net.w0)
-    except BoundInapplicableError:
-        b_linf = None
-        b_exp = None
-    try:
-        b_l2 = bound_l2(net, lam2)
-    except BoundInapplicableError:
-        b_l2 = None
+    b_linf = bound_linf(net, psi1, rho)
+    b_exp = bound_expectation(net, b_linf, net.w0) if b_linf is not None else None
 
     psi = conductance(K, mode=conductance_mode)
 
@@ -181,7 +178,7 @@ def build_spectral_report(
         performance=P,
         gamma=gamma,
         bound_linf=b_linf,
-        bound_l2=b_l2,
+        bound_l2=bound_l2(net, lam2),
         bound_expectation=b_exp,
         mixing_class=classify_mixing(gap, mixing_threshold),
         mixing_threshold=mixing_threshold,

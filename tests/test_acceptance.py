@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from willingness_gossip.cli import main
+from willingness_gossip.errors import Thm6InapplicableError
 from willingness_gossip.fixtures import (
     barbell,
     bridged_clusters,
@@ -21,7 +22,7 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.gossip import run_replica, simulate_ensemble
-from willingness_gossip.impact import impact_exact, impact_thm5, impact_thm7_bound, try_thm6
+from willingness_gossip.impact import impact_exact, impact_thm5, impact_thm6, impact_thm7_bound
 from willingness_gossip.meanfield import (
     build_mean_matrices,
     build_passage_data,
@@ -239,6 +240,12 @@ def test_criterion_6_bound_validity(corpus_stationary):
 
 
 def test_criterion_7_bridge_closed_form():
+    def thm6_residual(net, exact, label):
+        try:
+            return impact_thm6(net, exact).residual
+        except Thm6InapplicableError as exc:
+            report_line(7, "bridge closed form", False, f"{label}: {exc}")
+
     start = time.perf_counter()
     combos = list(itertools.product(range(1, 7), repeat=2))[:20]
     worst_eq = 0.0
@@ -254,14 +261,11 @@ def test_criterion_7_bridge_closed_form():
             float(np.max(np.abs(left - left[0]))),
             float(np.max(np.abs(right - right[0]))),
         )
-        result, residual, reason = try_thm6(net, exact)
-        if reason is not None:
-            report_line(7, "bridge closed form", False, f"sides ({size_i},{size_j}): {reason}")
-        worst_residual = max(worst_residual, residual)
+        worst_residual = max(worst_residual, thm6_residual(net, exact, f"sides ({size_i},{size_j})"))
 
     netb = two_node_influencer()
     pib = stationary_distribution(build_mean_matrices(netb))
-    _, residual_b, _ = try_thm6(netb, impact_exact(pib))
+    residual_b = thm6_residual(netb, impact_exact(pib), "two-node")
     elapsed = time.perf_counter() - start
     detail = (
         f"within-cluster equality {worst_eq:.2e}; closed form vs exact on 20 bridged "

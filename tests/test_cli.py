@@ -219,7 +219,7 @@ class TestAnalyzeCommand:
             main(["analyze", "--network", influencer_pair_path, "--replicas", "1"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "--tol" in captured.err and "'abc'" in captured.err
+        assert "WG_TOL" in captured.err and "'abc'" in captured.err
         assert captured.out == ""
 
     def test_flag_beats_bad_env_value(self, influencer_pair_path, capsys, monkeypatch):
@@ -271,7 +271,7 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
-) | st.floats(0.0, 1.0) | st.integers(-1, 4)
+) | st.floats(0.0, 1.0) | st.integers(-1, 4) | st.sampled_from([MAX_N, MAX_N + 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,3 +293,6 @@ def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutat
     code = main(["analyze", "--network", str(path), "--replicas", "2", "--max-slots", "5000"])
     assert rc in (0, 1, 2)
     assert code == rc if rc else code in (0, 4)
+    if doc.get("n") in (MAX_N, MAX_N + 1):
+        # a w0 of at most 4 entries cannot match n: refused before any n x n array
+        assert rc == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,13 +15,11 @@ from willingness_gossip.fixtures import (
 )
 from willingness_gossip.impact import (
     build_impact_report,
-    find_influential_edge,
     impact_exact,
     impact_thm5,
     impact_thm6,
     impact_thm7_bound,
     rank_clients,
-    try_thm6,
     render_impact_csv,
 )
 from willingness_gossip.meanfield import (
@@ -29,8 +28,19 @@ from willingness_gossip.meanfield import (
     mean_first_passage,
     stationary_distribution,
 )
-from willingness_gossip.network import AcquaintanceNetwork, edge_partition
+from willingness_gossip.network import AcquaintanceNetwork
+from willingness_gossip.report import RunConfig, analyze, render_json
 from willingness_gossip.spectral import conductance
+
+
+def influenced_cycle():
+    """The 4-cycle with one influential edge (0, 1), which is not a bridge."""
+    net = cycle(4)
+    x = net.x.copy()
+    y = net.y.copy()
+    x[0, 1] = 0.5
+    y[0, 1] = 0.5
+    return AcquaintanceNetwork(n=4, delta=0.5, p=net.p, x=x, y=y, z=net.z, w0=net.w0)
 
 
 def exact_pipeline(net):
@@ -96,10 +106,11 @@ class TestBridgeClosedForm:
     def test_influencer_pair_values(self):
         net = two_node_influencer()
         _, _, exact = exact_pipeline(net)
-        part = edge_partition(net, 0, 1)
-        result = impact_thm6(net, part)
+        result = impact_thm6(net, exact)
         assert result.mu == pytest.approx(0.5)
+        assert result.edge == (0, 1)
         np.testing.assert_allclose(result.values, exact, atol=1e-12)
+        assert result.residual <= 1e-12
 
     def test_within_cluster_equality(self, rng):
         for size_i, size_j in ((2, 2), (3, 3), (1, 4), (4, 2)):
@@ -114,48 +125,33 @@ class TestBridgeClosedForm:
     def test_balanced_sides_match_exact(self):
         net = barbell(3, influence=0.6, delta=0.35)
         _, _, exact = exact_pipeline(net)
-        result, residual, reason = try_thm6(net, exact)
-        assert reason is None
-        assert residual <= 1e-9
+        assert impact_thm6(net, exact).residual <= 1e-9
 
     def test_unbalanced_residual_is_reported(self):
         net = bridged_clusters(2, 5, influence=0.5)
         _, _, exact = exact_pipeline(net)
-        result, residual, reason = try_thm6(net, exact)
-        assert reason is None
-        assert result is not None and residual is not None  # surfaced, not hidden
-        assert residual <= 1e-12
+        result = impact_thm6(net, exact)
+        assert result.residual == float(np.max(np.abs(result.values - exact)))  # surfaced, not hidden
+        assert result.residual <= 1e-12
 
     def test_non_bridge_refused(self):
-        net = cycle(4)
-        x = net.x.copy()
-        y = net.y.copy()
-        x[0, 1] = 0.5
-        y[0, 1] = 0.5
-        net = AcquaintanceNetwork(n=4, delta=0.5, p=net.p, x=x, y=y, z=net.z, w0=net.w0)
+        net = influenced_cycle()
         _, _, exact = exact_pipeline(net)
-        result, residual, reason = try_thm6(net, exact)
-        assert result is None
-        assert "not a bridge" in reason
+        with pytest.raises(Thm6InapplicableError, match=r"^influential edge \(0, 1\) is not a bridge$"):
+            impact_thm6(net, exact)
 
     def test_multiple_influential_edges_refused(self, rng):
         net = random_network(rng, 6)
         assert net.influence_mass > 0
+        _, _, exact = exact_pipeline(net)
         with pytest.raises(Thm6InapplicableError, match="multiple|no influential"):
-            find_influential_edge(net)
+            impact_thm6(net, exact)
 
     def test_no_influential_edge_refused(self, rng):
         net = without_influence(random_network(rng, 5))
-        with pytest.raises(Thm6InapplicableError, match="no influential"):
-            find_influential_edge(net)
-
-    def test_wrong_partition_refused(self):
-        net = barbell(2, influence=0.5)
-        part = edge_partition(net, 1, 2)
-        flipped = edge_partition(net, 2, 1)
-        impact_thm6(net, part)  # correct orientation works
-        with pytest.raises(Thm6InapplicableError, match="not the influential edge"):
-            impact_thm6(net, flipped)
+        _, _, exact = exact_pipeline(net)
+        with pytest.raises(Thm6InapplicableError, match="^no influential edge$"):
+            impact_thm6(net, exact)
 
 
 class TestConductanceBound:
@@ -241,8 +237,8 @@ def test_report_and_csv():
     net = two_node_influencer()
     mm, pi, _ = exact_pipeline(net)
     report = build_impact_report(net, pi, mm.K, conductance(mm.K))
-    assert report.thm6 is not None
-    assert report.thm6_residual <= 1e-12
+    assert report.thm6 is not None and report.thm6_reason is None
+    assert report.thm6.residual <= 1e-12
     assert abs(report.exact.sum()) <= 1e-12
     assert np.max(np.abs(report.exact)) <= report.thm7_bound
 
@@ -260,3 +256,28 @@ def test_csv_blank_cells_when_inapplicable(rng):
     assert report.thm7_bound is None and report.thm6 is None
     row = render_impact_csv(report).splitlines()[1].split(",")
     assert row[4] == "" and row[5] == ""
+
+
+# The impact section is the ImpactReport dataclass as a dict: a new field
+# would change every report, so the schema is pinned once per thm6 outcome.
+@pytest.mark.parametrize(
+    "make_net, reason",
+    [
+        (lambda: bridged_clusters(2, 5, influence=0.5), None),
+        (lambda: without_influence(bridged_clusters(2, 5, influence=0.5)), "no influential edge"),
+        (lambda: random_network(np.random.default_rng(0), 5), "multiple influential edges (5)"),
+        (influenced_cycle, "influential edge (0, 1) is not a bridge"),
+    ],
+    ids=["bridge", "no-influence", "random", "non-bridge-cycle"],
+)
+def test_impact_section_schema(make_net, reason):
+    payload, ok, _ = analyze(make_net(), RunConfig(command="analyze", network="mem", replicas=0))
+    impact = json.loads(render_json(payload))["impact"]
+    assert ok and set(impact) == {"exact", "thm5", "thm5_residual", "thm7_bound", "thm6", "thm6_reason", "ranking"}
+    assert set(impact["ranking"][0]) == {"node", "impact", "score", "rank", "tier"}
+    assert impact["thm6_reason"] == reason
+    if reason is None:
+        assert set(impact["thm6"]) == {"values", "mu", "edge", "side_i", "side_j", "residual"}
+        assert impact["thm6"]["edge"] == [1, 2] and impact["thm6"]["residual"] <= 1e-12
+    else:
+        assert impact["thm6"] is None

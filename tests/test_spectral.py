@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from willingness_gossip.errors import BoundInapplicableError
 from willingness_gossip.fixtures import (
     barbell,
     complete,
@@ -110,10 +109,9 @@ class TestBounds:
         assert bound_linf(net, psi1, rho) == 0.0
 
     def test_inapplicable_rho(self, influencer_pair):
-        with pytest.raises(BoundInapplicableError):
-            bound_linf(influencer_pair, 0.5, None)
-        with pytest.raises(BoundInapplicableError):
-            bound_linf(influencer_pair, 0.5, 1.0)
+        assert bound_linf(influencer_pair, 0.5, None) is None
+        assert bound_linf(influencer_pair, 0.5, 1.0) is None
+        assert bound_l2(influencer_pair, 1.0) is None
 
     def test_zero_initial_vector(self, influencer_pair):
         psi1, rho = theorem3_constants(influencer_pair)
