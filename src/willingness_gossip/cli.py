@@ -22,7 +22,6 @@ from .gossip import run_replica, simulate_ensemble, write_trace_csv
 from .impact import render_impact_csv
 from .network import load_network, validate_network
 from .report import RunConfig, analyze, render_json
-from .spectral import DEFAULT_MIXING_THRESHOLD
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="path to the network JSON document",
         )
         if simulation:
-            p.add_argument("--replicas", type=int, default=env("WG_REPLICAS", 1000))
-            p.add_argument("--max-slots", type=int, default=env("WG_MAX_SLOTS", 10**6))
-            p.add_argument("--tol", type=float, default=env("WG_TOL", 1e-6))
-            p.add_argument("--seed", type=int, default=env("WG_SEED", 0))
+            p.add_argument("--replicas", type=int, default=env("WG_REPLICAS", RunConfig.replicas))
+            p.add_argument("--max-slots", type=int, default=env("WG_MAX_SLOTS", RunConfig.max_slots))
+            p.add_argument("--tol", type=float, default=env("WG_TOL", RunConfig.tol))
+            p.add_argument("--seed", type=int, default=env("WG_SEED", RunConfig.seed))
 
     p_validate = sub.add_parser("validate", help="check the network invariants")
     add_common(p_validate, simulation=False)
@@ -70,18 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full spectral/impact report")
     add_common(p_an, simulation=True)
-    p_an.add_argument(
-        "--mixing-threshold",
-        type=float,
-        default=env("WG_MIXING_THRESHOLD", DEFAULT_MIXING_THRESHOLD),
-    )
+    # The analyze namespace holds exactly RunConfig's fields.
+    p_an.add_argument("--mixing-threshold", type=float, default=env("WG_MIXING_THRESHOLD", RunConfig.mixing_threshold))
     p_an.add_argument(
         "--conductance",
+        dest="conductance_mode",
         choices=["exact", "skip"],
         default=env("WG_CONDUCTANCE"),
         help="subset-enumeration mode (default: exact up to n=20, then skip)",
     )
-    p_an.add_argument("--format", choices=["json", "csv"], default=env("WG_FORMAT", "json"))
+    p_an.add_argument("--format", choices=["json", "csv"], default=env("WG_FORMAT", RunConfig.format))
     p_an.add_argument("--out", default=env("WG_OUT"), help="output path (default stdout)")
     p_an.add_argument("--trace", default=env("WG_TRACE"), help="write replica 0's trace CSV here")
     return parser
@@ -138,7 +135,7 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
         return "--replicas must be >= 1"
     if getattr(args, "tol", 1.0) <= 0:
         return "--tol must be positive"
-    thr = getattr(args, "mixing_threshold", DEFAULT_MIXING_THRESHOLD)
+    thr = getattr(args, "mixing_threshold", RunConfig.mixing_threshold)
     if not (0.0 < thr < 2.0):
         return "--mixing-threshold must lie in (0, 2)"
     return None
@@ -177,20 +174,7 @@ def cmd_analyze(args) -> int:
     if net is None:
         return code
 
-    config = RunConfig(
-        command="analyze",
-        network=args.network,
-        replicas=args.replicas,
-        max_slots=args.max_slots,
-        tol=args.tol,
-        seed=args.seed,
-        mixing_threshold=args.mixing_threshold,
-        conductance_mode=args.conductance,
-        format=args.format,
-        out=args.out,
-        trace=args.trace,
-    )
-    payload, ok, impact_report = analyze(net, config)
+    payload, ok, impact_report = analyze(net, RunConfig(**vars(args)))
 
     if args.format == "json":
         text, what = render_json(payload), "report"

@@ -2,34 +2,32 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .network import AcquaintanceNetwork
 
 
-def _uniform_rows(support: np.ndarray) -> np.ndarray:
-    """Meeting probabilities uniform over each node's out-neighbors."""
-    p = support.astype(np.float64)
-    sums = p.sum(axis=1)
+def _averaging(support: np.ndarray, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
+    """Averaging-only network on ``support``, meetings uniform over each node's out-neighbors.
+
+    ``w0`` defaults to ``linspace(0, 1, n)``.
+    """
+    n = len(support)
+    y = support.astype(np.float64)
+    sums = y.sum(axis=1)
     if np.any(sums == 0):
         raise ValueError("every node needs at least one out-neighbor")
-    return p / sums[:, None]
-
-
-def _regular_types(support: np.ndarray):
-    """All meetings on the support are mutual-averaging meetings."""
-    y = support.astype(np.float64)
-    x = np.zeros_like(y)
-    z = np.zeros_like(y)
-    return x, y, z
+    if w0 is None:
+        w0 = np.linspace(0.0, 1.0, n)
+    p, x, z = y / sums[:, None], np.zeros_like(y), np.zeros_like(y)
+    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
 
 
 def two_node_regular(w0=(0.0, 1.0), delta: float = 0.5) -> AcquaintanceNetwork:
     """Two users who always meet and always average."""
-    support = np.array([[False, True], [True, False]])
-    p = _uniform_rows(support)
-    x, y, z = _regular_types(support)
-    return AcquaintanceNetwork(n=2, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    return complete(2, w0, delta)
 
 
 def two_node_influencer(w0=(0.0, 1.0), delta: float = 0.5) -> AcquaintanceNetwork:
@@ -47,39 +45,20 @@ def two_node_influencer(w0=(0.0, 1.0), delta: float = 0.5) -> AcquaintanceNetwor
 
 def cycle(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Bidirectional ring with uniform meeting probabilities, averaging only."""
-    support = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        support[i, (i + 1) % n] = True
-        support[i, (i - 1) % n] = True
+    eye = np.eye(n, dtype=bool)
+    support = np.roll(eye, 1, axis=1) | np.roll(eye, -1, axis=1)
     np.fill_diagonal(support, False)
-    p = _uniform_rows(support)
-    x, y, z = _regular_types(support)
-    if w0 is None:
-        w0 = np.linspace(0.0, 1.0, n)
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    return _averaging(support, w0, delta)
 
 
 def path(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Bidirectional path graph, averaging only."""
-    support = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        support[i, i + 1] = True
-        support[i + 1, i] = True
-    p = _uniform_rows(support)
-    x, y, z = _regular_types(support)
-    if w0 is None:
-        w0 = np.linspace(0.0, 1.0, n)
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    return _averaging(np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool), w0, delta)
 
 
 def complete(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Complete graph with uniform meeting probabilities, averaging only."""
-    support = ~np.eye(n, dtype=bool)
-    p = _uniform_rows(support)
-    x, y, z = _regular_types(support)
-    if w0 is None:
-        w0 = np.linspace(0.0, 1.0, n)
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    return _averaging(~np.eye(n, dtype=bool), w0, delta)
 
 
 def bridged_clusters(
@@ -99,28 +78,19 @@ def bridged_clusters(
     edge in the network.
     """
     n = size_i + size_j
-    support = np.zeros((n, n), dtype=bool)
-    left = range(size_i)
-    right = range(size_i, n)
-    for grp in (left, right):
-        for a in grp:
-            for b in grp:
-                if a != b:
-                    support[a, b] = True
+    side = np.arange(n) >= size_i
+    support = (side[:, None] == side[None, :]) & ~np.eye(n, dtype=bool)
     tail, head = size_i - 1, size_i
     support[tail, head] = True
     support[head, tail] = True
 
-    p = _uniform_rows(support)
-    x, y, z = _regular_types(support)
-    if influence > 0.0:
-        x = x.copy()
-        y = y.copy()
-        x[tail, head] = influence
-        y[tail, head] = 1.0 - influence
-    if w0 is None:
-        w0 = np.linspace(0.0, 1.0, n)
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    net = _averaging(support, w0, delta)
+    if influence <= 0.0:
+        return net
+    x, y = net.x.copy(), net.y.copy()
+    x[tail, head] = influence
+    y[tail, head] = 1.0 - influence
+    return dataclasses.replace(net, x=x, y=y)
 
 
 def barbell(k: int = 3, influence: float = 0.5, delta: float = 0.5) -> AcquaintanceNetwork:

@@ -80,22 +80,35 @@ def render_json(payload: dict) -> str:
     return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _solve(net: AcquaintanceNetwork):
+    """Mean matrices and the stationary distribution by both methods: (K, pi, check)."""
+    mm = build_mean_matrices(net)
+    return mm.K, stationary_distribution(mm), stationary_perturbation(mm)
+
+
+def _stationary_section(solved) -> dict:
+    _, pi, check = solved
+    return {
+        "pi": pi,
+        "method_primary": "eigen",
+        "method_check": "perturbation",
+        "cross_residual": float(np.max(np.abs(pi - check))),
+    }
+
+
 def _simulation_section(net: AcquaintanceNetwork, pi_bar: np.ndarray, ens: EnsembleSummary) -> dict:
     expected = float(np.asarray(pi_bar) @ net.w0)
-    abs_error = abs(ens.mean - expected) if math.isfinite(ens.mean) else None
-    z = None
-    # the stderr needs at least two converged values; with fewer it is 0
-    if abs_error is not None and ens.converged_count >= 2:
-        z = abs_error / max(ens.stderr, np.finfo(float).eps)
+    abs_error = abs(ens.mean - expected)  # NaN when nothing converged; rendered as null
     return {
         "replicas": ens.replicas,
         "converged": ens.converged_count,
         "convergence_rate": ens.convergence_rate,
-        "mean": ens.mean if math.isfinite(ens.mean) else None,
+        "mean": ens.mean,
         "stderr": ens.stderr,
         "expected_consensus": expected,
         "abs_error": abs_error,
-        "z_score": z,
+        # the stderr needs at least two converged values; with fewer it is 0
+        "z_score": abs_error / max(ens.stderr, np.finfo(float).eps) if ens.converged_count >= 2 else None,
         "mean_slots": ens.mean_slots,
         "max_slots_used": ens.max_slots_used,
         "seed": ens.seed,
@@ -128,9 +141,14 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
     """Run the full analysis pipeline.
 
     Returns (report payload, ok flag, impact report object).  Each section
-    fails independently: a numerical failure is recorded as
-    {"failed": reason} for that section and flips the ok flag, leaving the
-    rest of the report intact.
+    (stationary, spectral, impact, simulation) fails independently: an
+    exception is recorded as {"failed": reason} for that section, leaving
+    the rest of the report intact.  Without a stationary distribution the
+    spectral and impact sections, and the simulation when replicas were
+    requested, fail with "stationary distribution unavailable"; the
+    verdicts need both spectral and impact.  ``simulation`` is None only
+    when ``config.replicas`` is 0.  ok is False exactly when some section
+    failed.
     """
     payload: dict = {
         "version": FORMAT_VERSION,
@@ -141,74 +159,47 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
             "influence_mass": net.influence_mass,
             "delta": net.delta,
         },
+        "simulation": None,
     }
-    ok = True
-    pi = None
-    mm = None
 
-    try:
-        mm = build_mean_matrices(net)
-        primary = stationary_distribution(mm)
-        check = stationary_perturbation(mm)
-        pi = primary
-        payload["stationary"] = {
-            "pi": pi,
-            "method_primary": "eigen",
-            "method_check": "perturbation",
-            "cross_residual": float(np.max(np.abs(primary - check))),
-        }
-    except Exception as exc:
-        payload["stationary"] = {"failed": str(exc)}
-        ok = False
-
-    spectral = None
-    if mm is not None and pi is not None:
+    def run(name, build, render=dataclasses.asdict):
+        # The builders are looked up as module globals at call time:
+        # perfbench wraps them by their names in this module.
         try:
-            spectral = build_spectral_report(
-                net,
-                mm.K,
-                pi,
-                mixing_threshold=config.mixing_threshold,
-                conductance_mode=config.resolve_conductance_mode(net.n),
+            value = build()
+            payload[name] = render(value)
+        except Exception as exc:
+            payload[name] = {"failed": str(exc)}
+            return None
+        return value
+
+    spectral = impact_report = None
+    solved = run("stationary", lambda: _solve(net), _stationary_section)
+    if solved is None:
+        for name in ["spectral", "impact"] + ["simulation"] * (config.replicas > 0):
+            payload[name] = {"failed": "stationary distribution unavailable"}
+    else:
+        K, pi, _ = solved
+        mode = config.resolve_conductance_mode(net.n)
+        spectral = run(
+            "spectral",
+            lambda: build_spectral_report(net, K, pi, mixing_threshold=config.mixing_threshold, conductance_mode=mode),
+        )
+        psi = None if spectral is None else spectral.conductance
+        impact_report = run("impact", lambda: build_impact_report(net, pi, K, psi))
+        if config.replicas > 0:
+            run(
+                "simulation",
+                lambda: simulate_ensemble(
+                    net, replicas=config.replicas, max_slots=config.max_slots, tol=config.tol, seed=config.seed
+                ),
+                lambda ens: _simulation_section(net, pi, ens),
             )
-            payload["spectral"] = dataclasses.asdict(spectral)
-        except Exception as exc:
-            payload["spectral"] = {"failed": str(exc)}
-            ok = False
-    else:
-        payload["spectral"] = {"failed": "stationary distribution unavailable"}
-
-    impact_report = None
-    if mm is not None and pi is not None:
-        try:
-            psi = spectral.conductance if spectral is not None else None
-            impact_report = build_impact_report(net, pi, mm.K, psi)
-            payload["impact"] = dataclasses.asdict(impact_report)
-        except Exception as exc:
-            payload["impact"] = {"failed": str(exc)}
-            ok = False
-    else:
-        payload["impact"] = {"failed": "stationary distribution unavailable"}
-
-    if config.replicas > 0 and pi is not None:
-        try:
-            ens = simulate_ensemble(
-                net,
-                replicas=config.replicas,
-                max_slots=config.max_slots,
-                tol=config.tol,
-                seed=config.seed,
-            )
-            payload["simulation"] = _simulation_section(net, pi, ens)
-        except Exception as exc:
-            payload["simulation"] = {"failed": str(exc)}
-            ok = False
-    else:
-        payload["simulation"] = None
 
     if spectral is not None and impact_report is not None:
         payload["verdicts"] = _verdicts(spectral, impact_report)
     else:
         payload["verdicts"] = {"failed": "analysis incomplete"}
 
+    ok = not any("failed" in section for section in payload.values() if isinstance(section, dict))
     return payload, ok, impact_report

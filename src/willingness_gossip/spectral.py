@@ -85,7 +85,7 @@ def theorem3_constants(net: AcquaintanceNetwork, d: int | None = None) -> tuple[
     return psi1, rho_constant(n, psi1, d)
 
 
-def bound_linf(net: AcquaintanceNetwork, psi1: float, rho: float | None) -> float | None:
+def bound_linf(net: AcquaintanceNetwork, rho: float | None) -> float | None:
     """Sup-norm cap on pi_bar - e/n: influence mass / (2n(1 - rho)).
 
     None when rho is not a contraction rate in [0, 1).
@@ -95,7 +95,7 @@ def bound_linf(net: AcquaintanceNetwork, psi1: float, rho: float | None) -> floa
     return net.influence_mass / (2.0 * net.n * (1.0 - rho))
 
 
-def bound_expectation(net: AcquaintanceNetwork, bound_linf_value: float, w0: np.ndarray) -> float:
+def bound_expectation(bound_linf_value: float, w0: np.ndarray) -> float:
     """Cap on |expected consensus - mean(w0)|: sup bound times ||w0||_inf."""
     return bound_linf_value * float(np.max(np.abs(np.asarray(w0, dtype=float))))
 
@@ -163,8 +163,8 @@ def build_spectral_report(
     lam2, gap = lambda2_gap(K)
     P, gamma = performance(pi_bar, net.w0)
 
-    b_linf = bound_linf(net, psi1, rho)
-    b_exp = bound_expectation(net, b_linf, net.w0) if b_linf is not None else None
+    b_linf = bound_linf(net, rho)
+    b_exp = bound_expectation(b_linf, net.w0) if b_linf is not None else None
 
     psi = conductance(K, mode=conductance_mode)
 

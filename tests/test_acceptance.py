@@ -197,13 +197,13 @@ def test_criterion_6_bound_validity(corpus_stationary):
     violations = 0
     checked = 0
     for net, mm, pi in corpus_stationary:
-        psi1, rho = theorem3_constants(net)
+        _, rho = theorem3_constants(net)
         if rho is None or rho >= 1.0:
             continue
         checked += 1
         dev = pi - 1.0 / net.n
-        b_inf = bound_linf(net, psi1, rho)
-        b_exp = bound_expectation(net, b_inf, net.w0)
+        b_inf = bound_linf(net, rho)
+        b_exp = bound_expectation(b_inf, net.w0)
         lam2, _ = lambda2_gap(mm.K)
         b_l2 = bound_l2(net, lam2)
         P, _ = performance(pi, net.w0)
@@ -222,10 +222,10 @@ def test_criterion_6_bound_validity(corpus_stationary):
     mmb = build_mean_matrices(netb)
     pib = stationary_distribution(mmb)
     devb = pib - 0.5
-    psi1b, rhob = theorem3_constants(netb)
+    _, rhob = theorem3_constants(netb)
     spot = (
         abs(np.max(np.abs(devb)) - 1.0 / 6.0) < 1e-12
-        and bound_linf(netb, psi1b, rhob) == 0.25
+        and bound_linf(netb, rhob) == 0.25
         and abs(np.linalg.norm(devb) - math.sqrt(2.0) / 6.0) < 1e-12
         and bound_l2(netb, lambda2_gap(mmb.K)[0]) == 0.5
         and impact_thm7_bound(netb, conductance(mmb.K)) == pytest.approx(1.0 + math.log(2.0))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from willingness_gossip import report
 from willingness_gossip.cli import main
+from willingness_gossip.errors import NumericalError
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
 from willingness_gossip.network import MAX_N, serialize_network
 from willingness_gossip.report import RunConfig, analyze, render_json
@@ -252,6 +254,42 @@ class TestReportLibrary:
         text = render_json(payload)
         for token in ("0.3333333333333",):  # 13 significant digits must not appear
             assert token not in text
+
+    @pytest.mark.parametrize("replicas", [0, 3])
+    @pytest.mark.parametrize("builder", [
+        "build_mean_matrices", "stationary_distribution", "stationary_perturbation",
+        "build_spectral_report", "build_impact_report", "simulate_ensemble",
+    ])
+    def test_failed_section_names_its_reason(self, monkeypatch, builder, replicas):
+        def fail(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(report, builder, fail)
+        config = RunConfig(command="analyze", network="mem", replicas=replicas)
+        payload, ok, impact = analyze(two_node_influencer(), config)
+        unavailable = "stationary distribution unavailable"
+        if builder.startswith(("build_mean", "stationary")):
+            expected = {"stationary": "injected", "spectral": unavailable, "impact": unavailable}
+            if replicas:
+                expected["simulation"] = unavailable
+        elif builder == "build_spectral_report":
+            expected = {"spectral": "injected"}
+        elif builder == "build_impact_report":
+            expected = {"impact": "injected"}
+        else:  # the ensemble runs only when replicas are requested
+            expected = {"simulation": "injected"} if replicas else {}
+        if {"stationary", "spectral", "impact"} & set(expected):
+            expected["verdicts"] = "analysis incomplete"
+
+        sections = {name: section for name, section in payload.items() if isinstance(section, dict)}
+        failed = {name: section["failed"] for name, section in sections.items() if "failed" in section}
+        assert failed == expected
+        assert ok == (not expected)
+        assert (impact is None) == ("impact" in expected)
+        if builder == "build_spectral_report":
+            assert json.loads(render_json(payload))["impact"]["thm7_bound"] is None
+        if not replicas:
+            assert payload["simulation"] is None
 
     def test_report_embeds_config_and_version(self, influencer_pair):
         config = RunConfig(command="analyze", network="some/path.json", replicas=0, seed=5)

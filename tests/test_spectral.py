@@ -96,27 +96,27 @@ class TestContractionConstants:
 
 class TestBounds:
     def test_influencer_pair_values(self, influencer_pair):
-        psi1, rho = theorem3_constants(influencer_pair)
-        b = bound_linf(influencer_pair, psi1, rho)
+        _, rho = theorem3_constants(influencer_pair)
+        b = bound_linf(influencer_pair, rho)
         assert b == pytest.approx(0.25)
-        assert bound_expectation(influencer_pair, b, influencer_pair.w0) == pytest.approx(0.25)
+        assert bound_expectation(b, influencer_pair.w0) == pytest.approx(0.25)
         lam2, _ = lambda2_gap(build_mean_matrices(influencer_pair).K)
         assert bound_l2(influencer_pair, lam2) == pytest.approx(0.5)
 
     def test_no_influence_bound_zero(self, rng):
         net = without_influence(random_network(rng, 6))
-        psi1, rho = theorem3_constants(net)
-        assert bound_linf(net, psi1, rho) == 0.0
+        _, rho = theorem3_constants(net)
+        assert bound_linf(net, rho) == 0.0
 
     def test_inapplicable_rho(self, influencer_pair):
-        assert bound_linf(influencer_pair, 0.5, None) is None
-        assert bound_linf(influencer_pair, 0.5, 1.0) is None
+        assert bound_linf(influencer_pair, None) is None
+        assert bound_linf(influencer_pair, 1.0) is None
         assert bound_l2(influencer_pair, 1.0) is None
 
     def test_zero_initial_vector(self, influencer_pair):
-        psi1, rho = theorem3_constants(influencer_pair)
-        b = bound_linf(influencer_pair, psi1, rho)
-        assert bound_expectation(influencer_pair, b, np.zeros(2)) == 0.0
+        _, rho = theorem3_constants(influencer_pair)
+        b = bound_linf(influencer_pair, rho)
+        assert bound_expectation(b, np.zeros(2)) == 0.0
 
     def test_bounds_dominate_exact(self, rng):
         for _ in range(50):
@@ -124,14 +124,14 @@ class TestBounds:
             mm = build_mean_matrices(net)
             pi = stationary_distribution(mm)
             dev = pi - 1.0 / net.n
-            psi1, rho = theorem3_constants(net)
+            _, rho = theorem3_constants(net)
             lam2, _ = lambda2_gap(mm.K)
-            b_inf = bound_linf(net, psi1, rho)
+            b_inf = bound_linf(net, rho)
             b_l2 = bound_l2(net, lam2)
             P, _ = performance(pi, net.w0)
             assert np.max(np.abs(dev)) <= b_inf + 1e-12
             assert np.linalg.norm(dev) <= b_l2 + 1e-12
-            assert abs(P) <= bound_expectation(net, b_inf, net.w0) + 1e-12
+            assert abs(P) <= bound_expectation(b_inf, net.w0) + 1e-12
 
     def test_bound_monotone_in_influence_mass(self):
         # shifting mass from averaging to influence keeps K (and rho) fixed
@@ -140,7 +140,7 @@ class TestBounds:
         psi1_lo, rho_lo = theorem3_constants(lo)
         psi1_hi, rho_hi = theorem3_constants(hi)
         assert psi1_lo == psi1_hi and rho_lo == rho_hi
-        assert bound_linf(hi, psi1_hi, rho_hi) > bound_linf(lo, psi1_lo, rho_lo)
+        assert bound_linf(hi, rho_hi) > bound_linf(lo, rho_lo)
 
 
 class TestLambda2:
