@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .errors import NetworkFormatError
 from .gossip import run_replica, simulate_ensemble, write_trace_csv
 from .impact import render_impact_csv
@@ -42,6 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wgossip",
         description="Willingness-diffusion analysis for acquaintance networks",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def env(name, fallback=None):
@@ -115,6 +117,16 @@ def _write_trace(net, args) -> None:
     write_trace_csv(args.trace, trace)
 
 
+def _emit(out: str | None, text: str, what: str) -> None:
+    """Write ``text`` to the file ``out`` and say so, or to stdout when no file is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{what} written to {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
     # A WG_* value left as the default of a flag the chosen subcommand has
     # is converted and checked here, against the flag's own type and choices.
@@ -177,18 +189,11 @@ def cmd_analyze(args) -> int:
     payload, ok, impact_report = analyze(net, RunConfig(**vars(args)))
 
     if args.format == "json":
-        text, what = render_json(payload), "report"
+        _emit(args.out, render_json(payload), "report")
     elif impact_report is None:
         print("impact analysis failed; no CSV to write", file=sys.stderr)
-        return EXIT_PARTIAL
     else:
-        text, what = render_impact_csv(impact_report), "impact table"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"{what} written to {args.out}")
-    else:
-        sys.stdout.write(text)
+        _emit(args.out, render_impact_csv(impact_report), "impact table")
 
     if args.trace:
         _write_trace(net, args)

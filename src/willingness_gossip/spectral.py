@@ -126,6 +126,9 @@ def conductance(K: np.ndarray, mode: str = "exact") -> float | None:
     Exact mode enumerates every nonempty proper subset (complement
     symmetry halves the work: only subsets containing node 0 are scanned)
     with the uniform stationary distribution of the doubly stochastic K.
+    ``kernels.conductance_scan`` splits the nodes into two halves and
+    builds each subset's cut from two half tables and one cross product,
+    O(n) work per subset; every cut is a sum of nonnegative entries of K.
     Refuses above n = 20; pass mode="skip" to omit the value.
     """
     if mode == "skip":

@@ -82,6 +82,13 @@ class TestValidateCommand:
         assert "Traceback" not in err
 
 
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert "0.1.0" in capsys.readouterr().out
+
+
 class TestSimulateCommand:
     def test_regular_pair(self, regular_pair_path, capsys):
         rc = main(["simulate", "--network", regular_pair_path, "--replicas", "20"])
@@ -171,6 +178,24 @@ class TestAnalyzeCommand:
         assert rc == 4
         payload = json.loads(out.read_text())
         assert "failed" in payload["spectral"]
+
+    def test_csv_impact_failure_still_writes_trace(self, influencer_pair_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(report, "build_impact_report", fail)
+        traces = {}
+        for fmt in ("csv", "json"):
+            trace = tmp_path / f"t_{fmt}.csv"
+            rc = main([
+                "analyze", "--network", influencer_pair_path, "--replicas", "2",
+                "--format", fmt, "--trace", str(trace),
+            ])
+            assert rc == 4
+            if fmt == "csv":
+                assert "impact analysis failed; no CSV to write" in capsys.readouterr().err
+            traces[fmt] = trace.read_bytes()
+        assert traces["csv"] == traces["json"]
 
     def test_auto_skip_over_cap(self, tmp_path):
         path = write_net(tmp_path, cycle(22))

@@ -6,6 +6,7 @@ import pytest
 
 from willingness_gossip.fixtures import (
     barbell,
+    bridged_clusters,
     complete,
     path,
     random_network,
@@ -38,6 +39,27 @@ def brute_force_conductance(K):
             a[list(subset)] = True
             q = float(pi[a] @ K[np.ix_(a, ~a)].sum(axis=1))
             best = min(best, q / (pi[a].sum() * pi[~a].sum()))
+    return best
+
+
+def masked_scan_conductance(K):
+    """Reference scan: one masked n x n product per chunk of 2^14 subsets containing node 0."""
+    n = K.shape[0]
+    total = 1 << (n - 1)
+    bit_cols = np.arange(n - 1, dtype=np.uint32)
+    best = np.inf
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        masks = np.empty((idx.size, n))
+        masks[:, 0] = 1.0
+        masks[:, 1:] = (idx[:, None] >> bit_cols[None, :]) & 1
+        size_a = masks.sum(axis=1)
+        cut = ((masks @ K) * (1.0 - masks)).sum(axis=1)
+        proper = size_a < n
+        ratios = n * cut[proper] / (size_a[proper] * (n - size_a[proper]))
+        if ratios.size:
+            best = min(best, float(ratios.min()))
     return best
 
 
@@ -190,9 +212,36 @@ class TestConductance:
             assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-9)
 
     def test_matches_brute_force_across_scan_chunks(self):
-        # n = 16 spans 2^15 subsets, two of the scan's 2^14-subset chunks
+        # n = 16: 2^15 subsets, checked against explicit enumeration
         K = build_mean_matrices(random_network(np.random.default_rng(3), 16)).K
         assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "net",
+        [random_network(np.random.default_rng(n), n) for n in (17, 18, 19, 20)]
+        + [bridged_clusters(9, 10, influence=0.4), bridged_clusters(10, 10, influence=0.4, delta=0.2)],
+        ids=["random17", "random18", "random19", "random20", "bridged9x10", "bridged10x10"],
+    )
+    def test_matches_masked_scan(self, net):
+        # odd and even splits, several row blocks, up to CONDUCTANCE_MAX_N
+        K = build_mean_matrices(net).K
+        assert conductance(K) == pytest.approx(masked_scan_conductance(K), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "net",
+        [barbell(5), bridged_clusters(5, 5, influence=0.5), bridged_clusters(6, 6, influence=0.3, delta=0.2)],
+        ids=["barbell5", "bridged5x5", "bridged6x6"],
+    )
+    def test_small_cut_accuracy(self, net):
+        # a cut taken as a difference of large sums cancels to ~1e-14 here
+        K = build_mean_matrices(net).K
+        assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-14, abs=0)
+
+    def test_matches_brute_force_every_small_n(self):
+        # n = 2 and 3 leave a half block with a single node or subset
+        for n in range(2, 12):
+            K = build_mean_matrices(random_network(np.random.default_rng(100 + n), n)).K
+            assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-12, abs=0), n
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="skip"):
