@@ -11,15 +11,14 @@ arguments), 3 no replica converged, 4 partial analysis failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .errors import NetworkFormatError
-from .gossip import run_replica, simulate_ensemble, write_trace_csv
+from .gossip import replica_seed, run_replica, simulate_ensemble, write_trace_csv
 from .impact import render_impact_csv
 from .network import load_network, validate_network
 from .report import RunConfig, analyze, render_json
@@ -108,12 +107,7 @@ def _load_valid(path: str):
 
 def _write_trace(net, args) -> None:
     """Re-run replica 0 of the ensemble with recording and write its trace CSV."""
-    trace = run_replica(
-        net,
-        max_slots=args.max_slots,
-        tol=args.tol,
-        seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)),
-    )
+    trace = run_replica(net, max_slots=args.max_slots, tol=args.tol, seed=replica_seed(args.seed, 0))
     write_trace_csv(args.trace, trace)
 
 
@@ -145,8 +139,10 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
         setattr(args, action.dest, converted)
     if getattr(args, "replicas", 1) < 1:
         return "--replicas must be >= 1"
-    if getattr(args, "tol", 1.0) <= 0:
-        return "--tol must be positive"
+    if not (0 < getattr(args, "tol", 1.0) < math.inf):
+        return "--tol must be positive and finite"
+    if getattr(args, "seed", 0) < 0:
+        return "--seed must be >= 0"
     thr = getattr(args, "mixing_threshold", RunConfig.mixing_threshold)
     if not (0.0 < thr < 2.0):
         return "--mixing-threshold must lie in (0, 2)"

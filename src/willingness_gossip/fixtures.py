@@ -8,6 +8,10 @@ import numpy as np
 
 from .network import AcquaintanceNetwork
 
+# random_network: share of influential edges, and the cap on each edge's z.
+INFLUENCE_PROB = 0.65
+MAX_PERSISTENT = 0.5
+
 
 def _averaging(support: np.ndarray, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Averaging-only network on ``support``, meetings uniform over each node's out-neighbors.
@@ -102,8 +106,6 @@ def random_network(
     rng: np.random.Generator,
     n: int,
     extra_edge_prob: float = 0.35,
-    influence_prob: float = 0.65,
-    max_persistent: float = 0.5,
 ) -> AcquaintanceNetwork:
     """Random valid network: strongly connected, normalized rows, mixed types.
 
@@ -127,9 +129,9 @@ def random_network(
     y = np.zeros((n, n))
     z = np.zeros((n, n))
     for i, j in np.argwhere(support):
-        zz = rng.uniform(0.0, max_persistent)
+        zz = rng.uniform(0.0, MAX_PERSISTENT)
         rem = 1.0 - zz
-        if rng.random() < influence_prob:
+        if rng.random() < INFLUENCE_PROB:
             t = rng.uniform(0.1, 0.9)
             xx = rem * t
         else:

@@ -113,6 +113,11 @@ def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.
     return out
 
 
+def replica_seed(seed: int, k: int) -> np.random.SeedSequence:
+    """Seed of replica k in an ensemble seeded with ``seed``: the Philox stream keyed by (seed, k)."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+
+
 def run_replica(
     net: AcquaintanceNetwork,
     max_slots: int = 10**6,
@@ -194,13 +199,7 @@ def simulate_ensemble(
     converged = np.zeros(replicas, dtype=bool)
     slots = np.empty(replicas, dtype=np.int64)
     for k in range(replicas):
-        trace = run_replica(
-            net,
-            max_slots=max_slots,
-            tol=tol,
-            record_every=0,
-            seed=np.random.SeedSequence(entropy=seed, spawn_key=(k,)),
-        )
+        trace = run_replica(net, max_slots=max_slots, tol=tol, record_every=0, seed=replica_seed(seed, k))
         values[k] = trace.value
         converged[k] = trace.converged
         slots[k] = trace.slots_used

@@ -90,8 +90,7 @@ def impact_thm5(
     """
     n = net.n
     pi_bar = np.asarray(pi_bar, dtype=float)
-    q = net.p * net.x
-    coef = q * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
+    coef = net.influence * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
     weights = coef.sum(axis=1) - coef.sum(axis=0)
     values = -fundamental_solve(K, weights) / (2.0 * n)
     residual = np.abs(values - impact_exact(pi_bar))
@@ -116,7 +115,8 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     ``exact`` rather than trusted blindly; raises Thm6InapplicableError,
     with the reason the report prints, where the form does not apply.
     """
-    pairs = np.argwhere(net.p * net.x > 0.0)
+    q = net.influence
+    pairs = np.argwhere(q > 0.0)
     if pairs.shape[0] == 0:
         raise Thm6InapplicableError("no influential edge")
     if pairs.shape[0] > 1:
@@ -126,10 +126,8 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     if partition is None:
         raise Thm6InapplicableError(f"influential edge ({i}, {j}) is not a bridge")
     n = net.n
-    mu = float(
-        net.p[i, j] * net.x[i, j]
-        / (net.p[i, j] * (1.0 - net.z[i, j]) + net.p[j, i] * (1.0 - net.z[j, i]))
-    )
+    s = net.social
+    mu = float(q[i, j] / (s[i, j] + s[j, i]))
     size_i = len(partition.side_i)
     size_j = len(partition.side_j)
     denom = 1.0 - (mu / n) * (size_i + (2.0 * net.delta - 1.0) * size_j)
@@ -181,27 +179,19 @@ def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
     impacts = np.asarray(impacts, dtype=float)
     n = impacts.shape[0]
     peak = float(np.max(np.abs(impacts))) if n else 0.0
-    all_zero = peak <= ZERO_IMPACT_FLOOR
-
-    if all_zero:
-        order = list(range(n))
-    else:
-        order = sorted(range(n), key=lambda k: (-float(f"{impacts[k]:.12g}"), k))
+    if peak <= ZERO_IMPACT_FLOOR:
+        return [ClientRank(node=k, impact=float(impacts[k]), score=0.0, rank=k + 1, tier=TIER_REVIEW) for k in range(n)]
+    order = sorted(range(n), key=lambda k: (-float(f"{impacts[k]:.12g}"), k))
     quart = math.ceil(n / 4)
     ranking = []
-    for pos, node in enumerate(order):
-        rank = pos + 1
-        if all_zero:
-            tier = TIER_REVIEW
-            score = 0.0
+    for rank, node in enumerate(order, start=1):
+        if rank <= quart:
+            tier = TIER_INCENTIVIZE
+        elif rank > n - quart:
+            tier = TIER_STANDARD
         else:
-            score = float(impacts[node] / peak)
-            if rank <= quart:
-                tier = TIER_INCENTIVIZE
-            elif rank > n - quart:
-                tier = TIER_STANDARD
-            else:
-                tier = TIER_REVIEW
+            tier = TIER_REVIEW
+        score = float(impacts[node] / peak)
         ranking.append(ClientRank(node=node, impact=float(impacts[node]), score=score, rank=rank, tier=tier))
     return ranking
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .network import AcquaintanceNetwork, reachable
+from .network import AcquaintanceNetwork, reachable, readonly
 
 # Bound on the 1-norm condition number of the stationary system; the
 # 2-norm value differs from it by at most a factor n either way.
@@ -37,9 +37,7 @@ class MeanMatrices:
 
     def __post_init__(self):
         for name in ("Wbar", "K", "L"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,7 @@ class PassageData:
 
     def __post_init__(self):
         for name in ("Y", "m"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
@@ -68,8 +64,8 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     of row/column sums of p*x.
     """
     n = net.n
-    s = net.p * (1.0 - net.z)  # non-persistent meeting weight per ordered pair
-    q = net.p * net.x  # influence weight per ordered pair
+    s = net.social
+    q = net.influence
     total_p = float(net.p.sum())
 
     r = s.sum(axis=1)
@@ -106,20 +102,28 @@ def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
     cond = np.linalg.cond(A, 1)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"stationary solve too ill-conditioned (cond={cond:.3e})")
+    return _cleanup_distribution(_solve(A, b, "stationary solve"))
+
+
+def _solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Dense ``solve(A, b)``; a singular A raises NumericalError naming ``what``."""
     try:
-        pi = np.linalg.solve(A, b)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"stationary solve failed: {exc}") from exc
-    return _cleanup_distribution(pi)
+        raise NumericalError(f"{what} failed: {exc}") from exc
+
+
+def _deflated(M: np.ndarray) -> np.ndarray:
+    """``I - M + J/n`` for a stochastic n x n matrix M (J the all-ones matrix)."""
+    n = M.shape[0]
+    return np.eye(n) - M + 1.0 / n
 
 
 def _cleanup_distribution(pi: np.ndarray) -> np.ndarray:
     if pi.min() < -1e-8:
         raise NumericalError(f"stationary solve produced negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    pi.flags.writeable = False
-    return pi
+    return readonly(pi / pi.sum())
 
 
 def fundamental_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -135,10 +139,7 @@ def fundamental_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     np.fill_diagonal(off, False)
     if not reachable(off, np.arange(n) == 0)[0].all():
         raise ValueError("social matrix is reducible; fundamental matrix undefined")
-    try:
-        return np.linalg.solve(np.eye(n) - K + 1.0 / n, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot occur for irreducible K
-        raise NumericalError(f"fundamental solve failed: {exc}") from exc
+    return _solve(_deflated(K), rhs, "fundamental solve")  # cannot fail for irreducible K
 
 
 def fundamental_matrix(K: np.ndarray) -> np.ndarray:
@@ -189,8 +190,5 @@ def stationary_perturbation(mm: MeanMatrices) -> np.ndarray:
     cross-checks :func:`stationary_distribution`.
     """
     n = mm.Wbar.shape[0]
-    try:
-        pi = np.linalg.solve(np.eye(n) - mm.Wbar.T + 1.0 / n, np.full(n, 1.0 / n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"perturbation solve failed (I - Wbar^T + J/n singular): {exc}") from exc
+    pi = _solve(_deflated(mm.Wbar.T), np.full(n, 1.0 / n), "perturbation solve (I - Wbar^T + J/n singular)")
     return _cleanup_distribution(pi)

@@ -22,6 +22,13 @@ TYPE_SUM_TOL = 1e-9
 MAX_N = 5000  # largest accepted network; one dense n x n float matrix is then ~200 MB
 
 
+def readonly(value) -> np.ndarray:
+    """``value`` as a C-contiguous float64 array that cannot be written."""
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class AcquaintanceNetwork:
     """Immutable acquaintance network.
@@ -53,17 +60,12 @@ class AcquaintanceNetwork:
     w0: np.ndarray
 
     def __post_init__(self):
-        for name in ("p", "x", "y", "z"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.n, self.n):
-                raise ValueError(f"{name} must have shape ({self.n}, {self.n})")
-            arr.flags.writeable = False
+        for name in ("p", "x", "y", "z", "w0"):
+            arr = readonly(getattr(self, name))
+            shape = (self.n,) if name == "w0" else (self.n, self.n)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
-        w0 = np.ascontiguousarray(self.w0, dtype=np.float64)
-        if w0.shape != (self.n,):
-            raise ValueError(f"w0 must have shape ({self.n},)")
-        w0.flags.writeable = False
-        object.__setattr__(self, "w0", w0)
 
     @property
     def support(self) -> np.ndarray:
@@ -75,10 +77,21 @@ class AcquaintanceNetwork:
         rows, cols = np.nonzero(self.p)
         return list(zip(rows.tolist(), cols.tolist()))
 
+    # Not cached: a cache would keep two more n x n arrays alive per network.
+    @property
+    def influence(self) -> np.ndarray:
+        """Influence weight p[i, j] * x[i, j] of each ordered pair (j pulls i)."""
+        return self.p * self.x
+
+    @property
+    def social(self) -> np.ndarray:
+        """Non-persistent meeting weight p[i, j] * (1 - z[i, j]) of each ordered pair."""
+        return self.p * (1.0 - self.z)
+
     @property
     def influence_mass(self) -> float:
         """Total influence weight sum_ij p[i, j] * x[i, j]."""
-        return float(np.sum(self.p * self.x))
+        return float(np.sum(self.influence))
 
 
 @dataclass(frozen=True)

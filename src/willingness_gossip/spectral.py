@@ -77,7 +77,7 @@ def theorem3_constants(net: AcquaintanceNetwork, d: int | None = None) -> tuple[
     if d is None:
         d = diameter(net)
     n = net.n
-    weight = (net.p * (1.0 - net.z) + (net.p * (1.0 - net.z)).T) / (2.0 * n)
+    weight = (net.social + net.social.T) / (2.0 * n)
     edges = net.p > 0.0
     if not edges.any():
         raise ValueError("network has no edges")

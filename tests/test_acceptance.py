@@ -21,7 +21,7 @@ from willingness_gossip.fixtures import (
     two_node_regular,
     without_influence,
 )
-from willingness_gossip.gossip import run_replica, simulate_ensemble
+from willingness_gossip.gossip import replica_seed, run_replica, simulate_ensemble
 from willingness_gossip.impact import impact_exact, impact_thm5, impact_thm6, impact_thm7_bound
 from willingness_gossip.meanfield import (
     build_mean_matrices,
@@ -80,13 +80,7 @@ def test_criterion_1_convergence():
         net = random_network(rng, n)
         assert validate_network(net).ok
         for s in range(100):
-            trace = run_replica(
-                net,
-                max_slots=10**6,
-                tol=1e-6,
-                record_every=n,
-                seed=np.random.SeedSequence(entropy=trial, spawn_key=(s,)),
-            )
+            trace = run_replica(net, max_slots=10**6, tol=1e-6, record_every=n, seed=replica_seed(trial, s))
             ok = (
                 trace.converged
                 and trace.spread[-1] <= 1e-6

@@ -12,6 +12,7 @@ from willingness_gossip import report
 from willingness_gossip.cli import main
 from willingness_gossip.errors import NumericalError
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
+from willingness_gossip.gossip import replica_seed, run_replica, simulate_ensemble, write_trace_csv
 from willingness_gossip.network import MAX_N, serialize_network
 from willingness_gossip.report import RunConfig, analyze, render_json
 
@@ -111,6 +112,17 @@ class TestSimulateCommand:
         assert rc == 0
         lines = trace.read_text().splitlines()
         assert lines[0] == "slot,node_0,node_1,spread"
+
+    def test_trace_is_replica_zero_of_the_ensemble(self, tmp_path, capsys):
+        net = random_network(np.random.default_rng(12), 12)
+        trace = tmp_path / "trace.csv"
+        argv = ["simulate", "--network", write_net(tmp_path, net), "--replicas", "3", "--seed", "5"]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        replica = run_replica(net, max_slots=RunConfig.max_slots, tol=RunConfig.tol, seed=replica_seed(5, 0))
+        expected = tmp_path / "expected.csv"
+        write_trace_csv(str(expected), replica)
+        assert trace.read_bytes() == expected.read_bytes()
+        assert replica.value == simulate_ensemble(net, replicas=3, seed=5).values[0]
 
     def test_env_override(self, regular_pair_path, capsys, monkeypatch):
         monkeypatch.setenv("WG_REPLICAS", "7")
@@ -253,6 +265,47 @@ class TestAnalyzeCommand:
         monkeypatch.setenv("WG_TOL", "abc")
         assert main(["analyze", "--network", influencer_pair_path, "--tol", "1e-6", "--replicas", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv, env, flag",
+    [
+        (["simulate", "--replicas", "0"], {}, "--replicas"),
+        (["simulate", "--tol", "0"], {}, "--tol"),
+        (["analyze", "--mixing-threshold", "0"], {}, "--mixing-threshold"),
+        (["analyze", "--mixing-threshold", "2"], {}, "--mixing-threshold"),
+        (["simulate", "--seed", "-1"], {}, "--seed"),
+        (["analyze", "--seed", "-1"], {}, "--seed"),
+        (["analyze", "--seed", "-1", "--trace", "TRACE"], {}, "--seed"),
+        (["simulate", "--tol", "inf"], {}, "--tol"),
+        (["simulate", "--tol", "nan"], {}, "--tol"),
+        (["simulate"], {"WG_SEED": "-1"}, "--seed"),
+        (["analyze"], {"WG_TOL": "inf"}, "--tol"),
+        (["analyze"], {"WG_TOL": "nan"}, "--tol"),
+    ],
+    ids=[
+        "replicas-0", "tol-0", "threshold-0", "threshold-2", "seed-negative-simulate", "seed-negative-analyze",
+        "seed-negative-analyze-trace", "tol-inf", "tol-nan", "env-seed-negative", "env-tol-inf", "env-tol-nan",
+    ],
+)
+def test_out_of_range_value_is_usage_error(influencer_pair_path, tmp_path, capsys, monkeypatch, argv, env, flag):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    trace = tmp_path / "trace.csv"
+    # A small slot budget keeps a check that lets the value through from running long.
+    argv = [str(trace) if a == "TRACE" else a for a in argv] + ["--network", influencer_pair_path, "--max-slots", "100"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not trace.exists()
+
+
+def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypatch):
+    monkeypatch.setenv("WG_SEED", "-1")
+    assert main(["validate", "--network", influencer_pair_path]) == 0
 
 
 class TestReportLibrary:

@@ -34,3 +34,29 @@ def test_kernel_names_read_by_the_harness_exist():
 
     assert isinstance(kernels.NUMBA_ENABLED, bool)
     assert callable(kernels.backend) and callable(kernels.warmup)
+
+
+def test_tracer_sees_every_layer(tracing, tmp_path):
+    """One small job through every traced layer records a call at each span name.
+
+    A refactor that stops calling a wrapped name through its module would
+    otherwise leave that layer's benchmark number at 0 without failing.
+    """
+    from willingness_gossip import fixtures, gossip, network, report
+
+    path = tmp_path / "net.json"
+    path.write_text(network.serialize_network(fixtures.bridged_clusters(3, 4, influence=0.5)), encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        net = network.load_network(str(path))
+        assert network.validate_network(net).ok
+        payload, ok, _ = report.analyze(net, report.RunConfig(command="analyze", network=str(path), replicas=2))
+        report.render_json(payload)
+        gossip.simulate_ensemble(net, replicas=1)
+        gossip.write_trace_csv(str(tmp_path / "trace.csv"), gossip.run_replica(net))
+    assert ok
+    calls = tracer.totals()[0]
+    # analyze forms no fundamental matrix, so these two spans stay empty.
+    idle = {"meanfield.passage", "meanfield.fundamental"}
+    silent = sorted({name for _, _, name, _ in tracing.TARGETS if name not in idle and calls[name] == 0})
+    assert silent == []
