@@ -5,7 +5,9 @@ partner j drawn from its meeting row, and the pair's willingness values
 update by mutual averaging, one-sided influence (j pulls i, retention
 delta), or not at all.  Replicas are reproducible: replica k of an
 ensemble draws from a counter-based Philox stream keyed by (seed, k), so
-results do not depend on execution order.
+results do not depend on execution order.  The ensemble advances all live
+replicas round by round and hands the kernel groups of them at once;
+``run_replica`` is the one-replica group that records its trajectory.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ import numpy as np
 from . import kernels
 from .network import AcquaintanceNetwork
 
-_CHUNK_SLOTS = 16384
+# Caps a replica's chunk of slots in a round and the uniforms rows one kernel call decodes.
+_CHUNK_SLOTS = 4096
+# An ensemble runs its replicas in waves of at most this many replicas and
+# willingness values (a replica holds n values and a ~1.3 KiB generator),
+# so its memory does not grow with the replica count.
+_WAVE_REPLICAS = 1024
+_WAVE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,11 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Aggregate over independent replicas."""
+    """Aggregate over independent replicas.
+
+    ``values``, ``converged`` and ``slots_used`` hold each replica's
+    ``SimulationTrace`` field of the same name, in replica order.
+    """
 
     replicas: int
     converged_count: int
@@ -53,6 +65,8 @@ class EnsembleSummary:
     mean_slots: float
     max_slots_used: int
     values: np.ndarray
+    converged: np.ndarray
+    slots_used: np.ndarray
     seed: object
 
 
@@ -76,17 +90,6 @@ def build_sampler(net: AcquaintanceNetwork):
     row_start = np.zeros(net.n + 1, dtype=np.int64)
     np.cumsum(degree, out=row_start[1:])
     return cols.astype(np.int64), cum[rows, cols], row_start
-
-
-def sample_meetings_batch(net: AcquaintanceNetwork, count: int, rng: np.random.Generator):
-    """Vectorized meeting sampler; returns (i, j, kind_code) arrays.
-
-    Decodes ``count`` uniform triples exactly as the simulator does
-    (``kernels.decode_meetings``).  kind codes: ``kernels.KIND_REGULAR``
-    (0), ``KIND_INFLUENCE`` (1), ``KIND_PERSISTENT`` (2).
-    """
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
-    return kernels.decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, rng.random((count, 3)))
 
 
 def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
@@ -118,6 +121,58 @@ def replica_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
+def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_every: int, records):
+    """Advance one replica per seed, round by round, until each reaches tol or ``max_slots``.
+
+    Every live replica stands at the same slot, so one chunk size serves
+    them all in a round: chunks start at 4n slots and double, because slots
+    drawn past convergence are wasted, and stop at ``_CHUNK_SLOTS`` and at
+    the slots left in ``max_slots``, so ``kernels.gossip_chunk`` never sees
+    the budget.  Each group of at most ``_CHUNK_SLOTS`` rows of live
+    replicas gets one uniforms array, filled block by block from each
+    replica's own stream, and one kernel call.  A Philox stream's values do
+    not depend on how they are drawn in blocks, so each replica's meetings
+    do not depend on the rounds or the groups.
+
+    ``records`` is None, or one list per replica for the kernel's records.
+    Returns each replica's (willingness list, slots used, spread, monotone).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = net.n
+    sampler = build_sampler(net)
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    w0 = np.asarray(net.w0, dtype=np.float64)
+    spread0 = float(w0.max() - w0.min())
+    ws = [w0.tolist() for _ in rngs]
+    state = [(0, spread0, True)] * len(rngs)
+    live = [] if spread0 <= tol else list(range(len(rngs)))
+    slot = 0
+    chunk = 4 * n
+    while live and slot < max_slots:
+        count = min(chunk, _CHUNK_SLOTS, max_slots - slot)
+        chunk *= 2
+        per_group = _CHUNK_SLOTS // count
+        still = []
+        for start in range(0, len(live), per_group):
+            group = live[start : start + per_group]
+            uniforms = np.empty((len(group) * count, 3))
+            for q, k in enumerate(group):
+                rngs[k].random(out=uniforms[q * count : (q + 1) * count])
+            out = kernels.gossip_chunk(
+                [ws[k] for k in group], *sampler, net.x, net.y, float(net.delta), float(tol),
+                uniforms, slot, [state[k][1] for k in group], record_every,
+                None if records is None else [records[k] for k in group],
+            )
+            for k, (used, spread, monotone) in zip(group, out):
+                state[k] = (used, spread, monotone and state[k][2])
+                if not spread <= tol:
+                    still.append(k)
+        live = still
+        slot += count
+    return [(w, *st) for w, st in zip(ws, state)]
+
+
 def run_replica(
     net: AcquaintanceNetwork,
     max_slots: int = 10**6,
@@ -131,38 +186,15 @@ def run_replica(
     0 disables recording except for the initial and final states).
     Deterministic for a fixed (network, parameters, seed).
 
-    The willingness values stay a list for the whole replica.  Each chunk
-    of uniforms is drawn no longer than the slots left in ``max_slots``,
-    so ``kernels.gossip_chunk`` never sees the budget; the kernel appends
-    the recorded states to one list, turned into arrays once at the end.
+    The replica is a one-replica group of ``_run``; the kernel appends the
+    recorded states to one list, turned into arrays once at the end.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = net.n
     if record_every is None:
-        record_every = n
+        record_every = net.n
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seq))
-
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
     w0 = np.asarray(net.w0, dtype=np.float64)
-    spread = float(w0.max() - w0.min())
-    w = w0.tolist()
-    records = [(0, spread, w.copy())]
-
-    slot = 0
-    monotone = True
-    chunk = 4 * n
-    while not spread <= tol and slot < max_slots:
-        # Slots drawn past convergence are wasted, so chunks start at 4n and
-        # double; the Philox stream does not depend on the chunk sizes.
-        count = min(chunk, _CHUNK_SLOTS, max_slots - slot)
-        chunk *= 2
-        slot, spread, chunk_monotone = kernels.gossip_chunk(
-            w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), float(tol),
-            rng.random((count, 3)), slot, spread, record_every, records,
-        )
-        monotone = monotone and chunk_monotone
+    records = [(0, float(w0.max() - w0.min()), w0.tolist())]
+    ((w, slot, spread, monotone),) = _run(net, [seq], max_slots, tol, record_every, [records])
 
     if records[-1][0] != slot:
         records.append((slot, spread, w))
@@ -190,19 +222,23 @@ def simulate_ensemble(
 ) -> EnsembleSummary:
     """Run independent replicas and summarize their converged values.
 
-    Replica k draws from the stream keyed by (seed, k); the summary is
-    identical however the replicas might be scheduled.
+    Replica k draws from the stream keyed by (seed, k) and ends exactly as
+    ``run_replica`` with that seed and ``record_every=0`` would; the
+    summary is identical however the replicas are grouped into waves and
+    kernel calls.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     values = np.empty(replicas)
-    converged = np.zeros(replicas, dtype=bool)
+    converged = np.empty(replicas, dtype=bool)
     slots = np.empty(replicas, dtype=np.int64)
-    for k in range(replicas):
-        trace = run_replica(net, max_slots=max_slots, tol=tol, record_every=0, seed=replica_seed(seed, k))
-        values[k] = trace.value
-        converged[k] = trace.converged
-        slots[k] = trace.slots_used
+    wave = max(1, min(_WAVE_REPLICAS, _WAVE_VALUES // net.n))
+    for first in range(0, replicas, wave):
+        seeds = [replica_seed(seed, k) for k in range(first, min(first + wave, replicas))]
+        for k, (w, used, spread, _) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
+            values[k] = np.array(w).mean()
+            converged[k] = spread <= tol
+            slots[k] = used
 
     good = values[converged]
     cnt = int(converged.sum())
@@ -217,6 +253,8 @@ def simulate_ensemble(
         mean_slots=float(slots.mean()),
         max_slots_used=int(slots.max()),
         values=values,
+        converged=converged,
+        slots_used=slots,
         seed=seed,
     )
 

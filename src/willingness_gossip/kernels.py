@@ -1,13 +1,16 @@
 """Hot inner loops: gossip slot iteration and conductance subset scan.
 
-The gossip kernel advances one replica through a chunk of pre-drawn
-uniforms, three per slot.  It decodes the whole chunk into meetings with
-numpy (``decode_meetings``), then applies them in one scalar loop over
-the replica's willingness list, which Python indexes several times faster
-than a numpy array element by element.  The loop tracks the running max
-and min instead of rescanning all n values every slot, and appends the
-recorded states to a list.  The caller sizes each chunk to the slots it
-may still spend, so the kernel knows no budget.
+The gossip kernel advances a group of replicas, all at the same slot,
+through one chunk of pre-drawn uniforms each, three per slot.  It decodes
+the whole group into meetings with one numpy call (``decode_meetings``),
+drops the persistent meetings, which change nothing, and applies the rest
+in one scalar loop per replica over its willingness list, which Python
+indexes several times faster than a numpy array element by element.  The
+loop tracks the running max and min instead of rescanning all n values
+every slot; the spread, its monotonicity and the tol test are evaluated
+only when a rescan moved an extreme.  Recording splits the chunk at the
+recorded slots instead of testing every slot.  The caller sizes each chunk
+to the slots a replica may still spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -124,55 +127,48 @@ def conductance_scan(K: np.ndarray) -> float:
     return best
 
 
-def gossip_chunk(
-    w, nbr_idx, nbr_cum, row_start, x, y, delta, tol, uniforms, slot, spread, record_every, records
-):
-    """Advance the meeting process by one slot per row of ``uniforms``.
+def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
+    """Apply meetings (code, i, j) to the list ``w`` until its spread reaches tol.
 
-    ``w`` is the list of willingness values, updated in place, and
-    ``spread`` its spread on entry.  Averaging sets both endpoints to their
-    mean; influence moves the initiator toward the partner with retention
-    delta, clamped into the pre-meeting pair interval so the spread is
-    exactly non-increasing in floating point.  Either way the new values
-    lie inside the old pair interval, so the max and min can only change
-    when an updated node held one of them; only then (or when a comparison
-    fails on a NaN) are they recomputed.
-
-    Every slot that is a multiple of ``record_every`` (0: none) appends
-    ``(slot, spread, w.copy())`` to ``records``.  The chunk ends early at
-    the slot where the spread drops to ``tol``.  Returns (slot, spread,
-    monotone), where monotone is false if the spread ever grew.
+    ``code`` is the slot the meeting completes, negated for an influence
+    meeting.  ``mx`` and ``mn`` are the max and min of ``w``.  Both
+    endpoints' new values lie inside the old pair interval, so the max can
+    only change when an updated node held it, and likewise the min; only
+    then (or when a comparison fails on a NaN) is that side rescanned, and
+    only then can the spread move.  Returns (the slot where the spread
+    reached tol, or 0; mx; mn; spread; monotone).
     """
-    i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
-    mx = max(w)
-    mn = min(w)
-    if any(v != v for v in w):  # like numpy's max and min, a NaN anywhere makes both NaN
-        mx = mn = float("nan")
-    monotone = True
-    for a, b, k in zip(i.tolist(), j.tolist(), kind.tolist()):
-        inside = True
-        if k == KIND_REGULAR:
-            wa = w[a]
-            wb = w[b]
+    keep = 1.0 - delta
+    for code, a, b in meetings:
+        wa = w[a]
+        wb = w[b]
+        if code > 0:
             avg = 0.5 * (wa + wb)
             w[a] = avg
             w[b] = avg
-            inside = mn < wa < mx and mn < wb < mx
-        elif k == KIND_INFLUENCE:
-            wa = w[a]
-            wb = w[b]
-            v = delta * wa + (1.0 - delta) * wb
-            pair_lo = wa if wa < wb else wb
-            pair_hi = wa if wa > wb else wb
-            if v < pair_lo:
-                v = pair_lo
-            if v > pair_hi:
-                v = pair_hi
+            if mn < wa < mx and mn < wb < mx:
+                continue
+            top = not (wa < mx and wb < mx)
+            bottom = not (mn < wa and mn < wb)
+        else:
+            v = delta * wa + keep * wb
+            # clamp into the pre-meeting pair interval
+            if wa < wb:
+                if v < wa:
+                    v = wa
+                elif v > wb:
+                    v = wb
+            elif v < wb:
+                v = wb
+            elif v > wa:
+                v = wa
             w[a] = v
-            inside = mn < wa < mx
-        # else persistent: no change
-        if not inside:
-            # one pass in bytecode beats the max() and min() builtins here
+            if mn < wa < mx:
+                continue
+            top = not wa < mx
+            bottom = not mn < wa
+        # one pass in bytecode beats the max() and min() builtins here
+        if top and bottom:
             mx = w[0]
             mn = w[0]
             for v in w:
@@ -180,17 +176,89 @@ def gossip_chunk(
                     mx = v
                 if v < mn:
                     mn = v
-
-        slot += 1
-        prev = spread
-        spread = mx - mn
-        if spread > prev:
+        elif top:
+            mx = w[0]
+            for v in w:
+                if v > mx:
+                    mx = v
+        else:
+            mn = w[0]
+            for v in w:
+                if v < mn:
+                    mn = v
+        s = mx - mn
+        if s > spread:
             monotone = False
-        if record_every and slot % record_every == 0:
-            records.append((slot, spread, w.copy()))
+        spread = s
         if spread <= tol:
-            break
-    return slot, spread, monotone
+            # a pass skips a NaN anywhere but in w[0]; a NaN never converges
+            if any(v != v for v in w):
+                mx = mn = spread = float("nan")
+                continue
+            return abs(code), mx, mn, spread, monotone
+    return 0, mx, mn, spread, monotone
+
+
+def gossip_chunk(
+    ws, nbr_idx, nbr_cum, row_start, x, y, delta, tol, uniforms, slot, spreads, record_every, records
+):
+    """Advance a group of replicas, all standing at ``slot``, by one chunk of slots each.
+
+    ``ws`` holds each replica's willingness list, updated in place, and
+    ``spreads`` their spreads on entry, all above tol.  ``uniforms`` holds
+    ``count`` rows per replica, one per slot, replica q's in the q-th block
+    of ``count`` rows; one ``decode_meetings`` call decodes the whole group.
+    Averaging sets both endpoints to their mean; influence moves the
+    initiator toward the partner with retention delta, clamped into the
+    pre-meeting pair interval so the spread is exactly non-increasing in
+    floating point.  Persistent meetings change nothing, so only the others
+    reach the scalar loop (``_apply``), each with the slot it completes.
+
+    A replica stops at the slot where its spread drops to tol.  With
+    ``record_every`` > 0, replica q appends ``(slot, spread, w.copy())`` to
+    ``records[q]`` at every slot that is a multiple of it: the loop runs
+    from one such slot to the next and never tests for them.  Returns one
+    (slot, spread, monotone) per replica, where monotone is false if the
+    spread ever grew.
+    """
+    group = len(ws)
+    count = uniforms.shape[0] // group
+    i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
+    rows = np.flatnonzero(kind != KIND_PERSISTENT)
+    done = rows % count + (slot + 1)
+    codes = np.where(kind[rows] == KIND_REGULAR, done, -done).tolist()
+    i_all = i[rows].tolist()
+    j_all = j[rows].tolist()
+    end = slot + count
+    marks = list(range(slot - slot % record_every + record_every, end + 1, record_every)) if record_every else []
+    # row offsets where each replica's segments end: one per recorded slot, then the chunk's end
+    ends = np.arange(group)[:, None] * count + np.array([m - slot for m in marks] + [count])
+    cuts = np.searchsorted(rows, ends).tolist()
+    out = []
+    lo = 0
+    for q, w in enumerate(ws):
+        mx = max(w)
+        mn = min(w)
+        if any(v != v for v in w):  # like numpy's max and min, a NaN anywhere makes both NaN
+            mx = mn = float("nan")
+        spread = spreads[q]
+        monotone = True
+        for mark, cut in zip(marks, cuts[q]):
+            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
+            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+            if stop:
+                break
+            records[q].append((mark, spread, w.copy()))
+            lo = cut
+        else:
+            cut = cuts[q][-1]
+            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
+            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+        if stop and record_every and stop % record_every == 0:
+            records[q].append((stop, spread, w.copy()))
+        out.append((stop or end, spread, monotone))
+        lo = cuts[q][-1]
+    return out
 
 
 def warmup() -> None:
@@ -198,7 +266,7 @@ def warmup() -> None:
     nbr_idx = np.array([1, 0], dtype=np.int64)
     row_start = np.array([0, 1, 2], dtype=np.int64)
     gossip_chunk(
-        [0.0, 1.0], nbr_idx, np.ones(2), row_start, np.zeros((2, 2)), np.ones((2, 2)),
-        0.5, 1e-9, np.full((2, 3), 0.25), 0, 1.0, 1, [],
+        [[0.0, 1.0], [0.0, 1.0]], nbr_idx, np.ones(2), row_start, np.zeros((2, 2)), np.ones((2, 2)),
+        0.5, 1e-9, np.full((4, 3), 0.25), 0, [1.0, 1.0], 1, [[], []],
     )
     conductance_scan(np.full((2, 2), 0.5))

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
-from willingness_gossip.gossip import sample_meetings_batch
-from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR
+from willingness_gossip.gossip import build_sampler
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, decode_meetings
 from willingness_gossip.network import serialize_network
+
+
+def _sample_meetings_batch(net, count: int, rng: np.random.Generator):
+    """``count`` meetings (i, j, kind) decoded from ``rng`` exactly as the simulator decodes them."""
+    nbr_idx, nbr_cum, row_start = build_sampler(net)
+    return decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, rng.random((count, 3)))
 
 
 def _empirical_mean_update(net, count: int, rng: np.random.Generator):
@@ -15,7 +21,7 @@ def _empirical_mean_update(net, count: int, rng: np.random.Generator):
     the analytic mean matrices at 3-sigma resolution.
     """
     n = net.n
-    i, j, kind = sample_meetings_batch(net, count, rng)
+    i, j, kind = _sample_meetings_batch(net, count, rng)
     dsum = np.zeros((n, n))
     dsq = np.zeros((n, n))
 
@@ -39,6 +45,12 @@ def _empirical_mean_update(net, count: int, rng: np.random.Generator):
     var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
     stderr = np.sqrt(var / count)
     return mean, stderr
+
+
+@pytest.fixture()
+def sample_meetings_batch():
+    """The vectorized meeting sampler, as a function (net, count, rng) -> (i, j, kind)."""
+    return _sample_meetings_batch
 
 
 @pytest.fixture()

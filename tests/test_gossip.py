@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from willingness_gossip import gossip
 from willingness_gossip.fixtures import (
     barbell,
+    bridged_clusters,
     random_network,
     two_node_influencer,
     two_node_regular,
@@ -15,8 +19,8 @@ from willingness_gossip.fixtures import (
 from willingness_gossip.gossip import (
     apply_meeting,
     build_sampler,
+    replica_seed,
     run_replica,
-    sample_meetings_batch,
     simulate_ensemble,
     write_trace_csv,
 )
@@ -62,7 +66,7 @@ class TestApplyMeeting:
 
 
 class TestSampling:
-    def test_influencer_pair_kinds(self, influencer_pair, rng):
+    def test_influencer_pair_kinds(self, influencer_pair, rng, sample_meetings_batch):
         # every meeting initiated by node 0 is an influence meeting,
         # every meeting initiated by node 1 an averaging meeting
         i, j, kind = sample_meetings_batch(influencer_pair, 200, rng)
@@ -70,7 +74,7 @@ class TestSampling:
         np.testing.assert_array_equal(kind, np.where(i == 0, KIND_INFLUENCE, KIND_REGULAR))
         np.testing.assert_array_equal(j, 1 - i)
 
-    def test_kind_never_without_probability(self, rng):
+    def test_kind_never_without_probability(self, rng, sample_meetings_batch):
         net = random_network(rng, 6)
         i, j, kind = sample_meetings_batch(net, 20000, rng)
         assert np.all(i != j)
@@ -78,7 +82,7 @@ class TestSampling:
         assert np.all(net.x[i[kind == 1], j[kind == 1]] > 0)
         assert np.all(net.y[i[kind == 0], j[kind == 0]] > 0)
 
-    def test_empirical_frequencies_three_sigma(self):
+    def test_empirical_frequencies_three_sigma(self, sample_meetings_batch):
         # directed triangle with an extra reverse edge and mixed types
         rng = np.random.default_rng(42)
         net = random_network(rng, 3)
@@ -172,7 +176,7 @@ class TestRunReplica:
         assert np.array_equal(a.final, b.final)
         assert a.slots_used == b.slots_used
 
-    def test_regular_meeting_conserves_sum_per_step(self, rng):
+    def test_regular_meeting_conserves_sum_per_step(self, rng, sample_meetings_batch):
         net = without_influence(random_network(rng, 6))
         w = net.w0.copy()
         for i, j, kind in zip(*sample_meetings_batch(net, 500, rng)):
@@ -237,6 +241,73 @@ class TestEnsemble:
     def test_replicas_required(self, regular_pair):
         with pytest.raises(ValueError):
             simulate_ensemble(regular_pair, replicas=0)
+
+    # Recorded from the one-replica-at-a-time ensemble that ran each replica
+    # through run_replica: sha256 of values.tobytes(), converged count, total
+    # and max slots.  max_slots=2300 stops 4 of the 12 replicas mid-round.
+    @pytest.mark.parametrize(
+        "make, replicas, seed, max_slots, digest, converged, total_slots, max_used",
+        [
+            (
+                lambda: random_network(np.random.default_rng(8), 8), 16, 3, 10**6,
+                "00630a01baaa2fb0a9fc6ba48ed3de760a435ce326941dea82e69a1dbd20a751", 16, 4705, 371,
+            ),
+            (
+                lambda: bridged_clusters(4, 5), 16, 5, 10**6,
+                "b715082e37ea9c42cf6a0194c1635f5d8fe618b103aa52f9480e133000e3cac0", 16, 23248, 1662,
+            ),
+            (
+                lambda: random_network(np.random.default_rng(50), 50, extra_edge_prob=8 / 50), 12, 7, 2300,
+                "b24a1ad0dae600ba3dc4d94fca642891b224c277906c9944471d5a8516e95805", 8, 26727, 2300,
+            ),
+        ],
+        ids=["random-n8", "bridged-4+5", "random-n50-budget"],
+    )
+    @pytest.mark.parametrize("wave", [None, 5], ids=["one-wave", "waves-of-5"])
+    def test_pinned_streams(
+        self, make, replicas, seed, max_slots, digest, converged, total_slots, max_used, wave, monkeypatch
+    ):
+        net = make()
+        if wave:
+            monkeypatch.setattr(gossip, "_WAVE_VALUES", wave * net.n)
+        ens = simulate_ensemble(net, replicas=replicas, seed=seed, max_slots=max_slots)
+        assert hashlib.sha256(ens.values.tobytes()).hexdigest() == digest
+        assert ens.converged_count == converged
+        assert ens.mean_slots * replicas == total_slots
+        assert ens.max_slots_used == max_used
+
+    @pytest.mark.parametrize("chunk", [1, 7, gossip._CHUNK_SLOTS])
+    @pytest.mark.parametrize("max_slots", [1, 4 * 9 + 1, 10**6])
+    @pytest.mark.parametrize("settled", [False, True], ids=["w0-spread", "w0-within-tol"])
+    def test_replica_k_is_run_replica(self, chunk, max_slots, settled, monkeypatch):
+        net = random_network(np.random.default_rng(21), 9)
+        if settled:
+            net = dataclasses.replace(net, w0=np.full(9, 0.25) + np.arange(9) * 1e-8)
+        monkeypatch.setattr(gossip, "_CHUNK_SLOTS", chunk)
+        ens = simulate_ensemble(net, replicas=7, max_slots=max_slots, seed=13)
+        for k in range(7):
+            alone = run_replica(net, max_slots=max_slots, record_every=0, seed=replica_seed(13, k))
+            assert ens.values[k] == alone.value, k
+            assert ens.slots_used[k] == alone.slots_used, k
+            assert ens.converged[k] == alone.converged, k
+        assert ens.converged_count == ens.converged.sum()
+        assert ens.mean_slots == ens.slots_used.mean() and ens.max_slots_used == ens.slots_used.max()
+        if settled:
+            assert ens.converged.all() and not ens.slots_used.any()
+        elif max_slots < 10**6:
+            assert not ens.converged.any()
+
+    @pytest.mark.parametrize("node", [0, 3])
+    def test_nan_in_w0_runs_to_the_budget(self, node):
+        base = random_network(np.random.default_rng(8), 8)
+        w0 = base.w0.copy()
+        w0[node] = np.nan
+        net = dataclasses.replace(base, w0=w0)
+        trace = run_replica(net, max_slots=5000, record_every=0, seed=replica_seed(2, 0))
+        assert not trace.converged and trace.slots_used == 5000
+        ens = simulate_ensemble(net, replicas=3, max_slots=5000, seed=2)
+        assert ens.converged_count == 0
+        assert ens.mean_slots == ens.max_slots_used == 5000
 
 
 def test_trace_csv_layout(tmp_path, rng):

@@ -9,16 +9,20 @@ from willingness_gossip.fixtures import random_network
 from willingness_gossip.gossip import apply_meeting, build_sampler
 
 
-def drive(net, uniforms, tol=1e-9):
-    """Run one chunk from w0 at slot 0, recording every slot."""
+def drive(net, uniforms, tol=1e-9, group=1):
+    """Run one chunk of ``group`` replicas from w0 at slot 0, recording every slot.
+
+    Returns each replica's (willingness list, records, (slot, spread, monotone));
+    replica q reads the q-th block of ``len(uniforms) // group`` rows.
+    """
     nbr_idx, nbr_cum, row_start = build_sampler(net)
-    w = net.w0.tolist()
-    records = []
+    ws = [net.w0.tolist() for _ in range(group)]
+    records = [[] for _ in range(group)]
     out = kernels.gossip_chunk(
-        w, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), tol,
-        uniforms, 0, float(net.w0.max() - net.w0.min()), 1, records,
+        ws, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), tol,
+        uniforms, 0, [float(net.w0.max() - net.w0.min())] * group, 1, records,
     )
-    return w, records, out
+    return list(zip(ws, records, out))
 
 
 def test_decode_meetings_matches_per_row_searchsorted(rng):
@@ -57,7 +61,7 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
     # values in {0, 1} only: several nodes tie for the max and the min
     net = dataclasses.replace(base, w0=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
     uniforms = np.random.default_rng(11).random((3000, 3))
-    w, records, (slots_used, spread_out, monotone_out) = drive(net, uniforms)
+    ((w, records, (slots_used, spread_out, monotone_out)),) = drive(net, uniforms)
     assert slots_used > 100
     assert len(records) == slots_used
 
@@ -81,10 +85,24 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
 
 
 def test_chunk_stops_at_the_slot_where_spread_reaches_tol(regular_pair):
-    w, records, (slot, spread, monotone) = drive(regular_pair, np.full((4, 3), 0.25))
+    ((w, records, (slot, spread, monotone)),) = drive(regular_pair, np.full((4, 3), 0.25))
     assert (slot, spread, monotone) == (1, 0.0, True)
     assert w == [0.5, 0.5]
     assert records == [(1, 0.0, [0.5, 0.5])]
+
+
+def test_replica_that_stops_early_leaves_the_rest_of_its_group_running(rng):
+    net = random_network(rng, 8)
+    first = np.random.default_rng(6).random((3000, 3))
+    second = np.random.default_rng(5).random((3000, 3))
+    alone = [drive(net, u, tol=1e-6)[0] for u in (first, second)]
+    assert alone[0][2][0] < alone[1][2][0] < 3000  # the first replica reaches tol first
+    grouped = drive(net, np.vstack([first, second]), tol=1e-6, group=2)
+    for (w, records, out), (want_w, want_records, want_out) in zip(grouped, alone):
+        assert out == want_out
+        assert w == want_w
+        assert len(records) == out[0]
+        assert records == want_records
 
 
 def test_backend_reports_name():

@@ -60,3 +60,17 @@ def test_tracer_sees_every_layer(tracing, tmp_path):
     idle = {"meanfield.passage", "meanfield.fundamental"}
     silent = sorted({name for _, _, name, _ in tracing.TARGETS if name not in idle and calls[name] == 0})
     assert silent == []
+
+
+def test_traced_ensemble_counts_every_slot_it_draws(tracing):
+    """The ensemble calls the kernel through its module, and the draw counter covers every slot used."""
+    from willingness_gossip import fixtures, report
+
+    net = fixtures.bridged_clusters(3, 4, influence=0.5)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        payload, ok, _ = report.analyze(net, report.RunConfig(command="analyze", network="net.json", replicas=2))
+    assert ok
+    assert tracer.totals()[0]["kernels.gossip_chunk"] > 0
+    sim = payload["simulation"]
+    assert tracer.counts["gossip.slots_drawn"] >= sim["mean_slots"] * sim["replicas"] > 0
