@@ -155,7 +155,7 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
         "config": dataclasses.asdict(config),
         "network": {
             "n": net.n,
-            "edges": len(net.edge_list()),
+            "edges": int(np.count_nonzero(net.p)),
             "influence_mass": net.influence_mass,
             "delta": net.delta,
         },

@@ -77,7 +77,8 @@ def theorem3_constants(net: AcquaintanceNetwork, d: int | None = None) -> tuple[
     if d is None:
         d = diameter(net)
     n = net.n
-    weight = (net.social + net.social.T) / (2.0 * n)
+    social = net.social
+    weight = (social + social.T) / (2.0 * n)
     edges = net.p > 0.0
     if not edges.any():
         raise ValueError("network has no edges")

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
 from willingness_gossip.gossip import build_sampler
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, decode_meetings
-from willingness_gossip.network import serialize_network
+from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, serialize_network
 
 
 def _sample_meetings_batch(net, count: int, rng: np.random.Generator):
@@ -45,6 +48,72 @@ def _empirical_mean_update(net, count: int, rng: np.random.Generator):
     var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
     stderr = np.sqrt(var / count)
     return mean, stderr
+
+
+def _reference_parse_network(text: str) -> AcquaintanceNetwork:
+    """The per-edge network parser: one loop iteration and four number checks per edge.
+
+    The reference that ``network.parse_network``'s column checks must
+    match, error message for error message and bit for bit.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+        raise NetworkFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise NetworkFormatError("invalid JSON: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("top-level document must be a JSON object")
+
+    n_raw = _require_key(doc, "n", "document")
+    if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 1:
+        raise NetworkFormatError(f"field 'n' must be a positive integer, got {n_raw!r}")
+    if n_raw > MAX_N:
+        raise NetworkFormatError(f"field 'n' = {n_raw} exceeds the supported maximum {MAX_N}")
+    n = n_raw
+
+    delta = _as_number(_require_key(doc, "delta", "document"), "delta")
+
+    w0_raw = _require_key(doc, "w0", "document")
+    if not isinstance(w0_raw, list) or len(w0_raw) != n:
+        raise NetworkFormatError(f"field 'w0' must be an array of {n} numbers")
+    w0 = np.array([_as_number(v, "w0") for v in w0_raw], dtype=np.float64)
+
+    edges = _require_key(doc, "edges", "document")
+    if not isinstance(edges, list):
+        raise NetworkFormatError("field 'edges' must be an array")
+
+    p = np.zeros((n, n))
+    x = np.zeros((n, n))
+    y = np.zeros((n, n))
+    z = np.zeros((n, n))
+    seen: set[tuple[int, int]] = set()
+    for idx, edge in enumerate(edges):
+        ctx = f"edges[{idx}]"
+        if not isinstance(edge, dict):
+            raise NetworkFormatError(f"{ctx} must be an object")
+        i = _require_key(edge, "from", ctx)
+        j = _require_key(edge, "to", ctx)
+        for key, val in (("from", i), ("to", j)):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise NetworkFormatError(f"{ctx}: field '{key}' must be an integer")
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise NetworkFormatError(f"{ctx}: node index out of range (from={i}, to={j}, n={n})")
+        if (i, j) in seen:
+            raise NetworkFormatError(f"{ctx}: duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        p[i, j] = _as_number(_require_key(edge, "p", ctx), "p")
+        x[i, j] = _as_number(_require_key(edge, "x", ctx), "x")
+        y[i, j] = _as_number(_require_key(edge, "y", ctx), "y")
+        z[i, j] = _as_number(_require_key(edge, "z", ctx), "z")
+
+    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=w0)
+
+
+@pytest.fixture(scope="session")
+def reference_parse_network():
+    """The per-edge network parser, as a function (text) -> AcquaintanceNetwork."""
+    return _reference_parse_network
 
 
 @pytest.fixture()

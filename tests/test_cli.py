@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import operator
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from willingness_gossip import report
 from willingness_gossip.cli import main
-from willingness_gossip.errors import NumericalError
+from willingness_gossip.errors import NetworkFormatError, NumericalError
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
 from willingness_gossip.gossip import replica_seed, run_replica, simulate_ensemble, write_trace_csv
-from willingness_gossip.network import MAX_N, serialize_network
+from willingness_gossip.network import MAX_N, parse_network, serialize_network
 from willingness_gossip.report import RunConfig, analyze, render_json
 
 
@@ -390,9 +391,8 @@ JSON_VALUES = st.recursive(
 ) | st.floats(0.0, 1.0) | st.integers(-1, 4) | st.sampled_from([MAX_N, MAX_N + 1])
 
 
-@settings(max_examples=60, deadline=None)
-@given(mutations=st.lists(st.tuples(st.sampled_from(FIELDS), JSON_VALUES | st.just(DELETE)), min_size=1, max_size=3))
-def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutations):
+def mutated(mutations) -> dict:
+    """A copy of ``BASE_DOC`` with each (field path, value) mutation applied in turn."""
     doc = copy.deepcopy(BASE_DOC)
     for (*parents, key), value in mutations:
         try:
@@ -403,6 +403,13 @@ def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutat
                 target[key] = value
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation deleted or replaced the parent
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(FIELDS), JSON_VALUES | st.just(DELETE)), min_size=1, max_size=3))
+def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutations):
+    doc = mutated(mutations)
     path = tmp_path_factory.getbasetemp() / "malformed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")  # NaN / Infinity tokens included
     rc = main(["validate", "--network", str(path)])
@@ -412,3 +419,32 @@ def test_malformed_document_ends_in_documented_exit_code(tmp_path_factory, mutat
     if doc.get("n") in (MAX_N, MAX_N + 1):
         # a w0 of at most 4 entries cannot match n: refused before any n x n array
         assert rc == 1
+
+
+# The same mutations, plus whole edges and the edge array replaced, so that
+# non-object edges and a non-array ``edges`` reach the parser too, and values
+# that each column check refuses: non-finite numbers, integers beyond int64 or
+# the float range, a bool, and node ids that repeat a pair.
+WHOLE_EDGES = [("edges",)] + [("edges", k) for k in range(len(BASE_DOC["edges"]))]
+COLUMN_FAULTS = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 2**63, -(2**64), True]) | st.integers(0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(FIELDS + WHOLE_EDGES), JSON_VALUES | COLUMN_FAULTS | st.just(DELETE)), max_size=3
+    )
+)
+def test_parse_matches_the_per_edge_reference(reference_parse_network, mutations):
+    text = json.dumps(mutated(mutations))
+    try:
+        expected = reference_parse_network(text)
+    except NetworkFormatError as exc:
+        with pytest.raises(NetworkFormatError) as refused:
+            parse_network(text)
+        assert str(refused.value) == str(exc)
+        return
+    net = parse_network(text)
+    assert (net.n, np.float64(net.delta).tobytes()) == (expected.n, np.float64(expected.delta).tobytes())
+    for name in ("p", "x", "y", "z", "w0"):
+        assert getattr(net, name).tobytes() == getattr(expected, name).tobytes(), name

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from willingness_gossip.network import (
     diameter,
     edge_partition,
     parse_network,
+    reachable,
     serialize_network,
     validate_network,
 )
@@ -28,6 +30,8 @@ INFLUENCER_PAIR_DOC = json.dumps(
         ],
     }
 )
+
+MISSING = object()
 
 
 def permute(net: AcquaintanceNetwork, perm) -> AcquaintanceNetwork:
@@ -99,13 +103,51 @@ class TestParse:
             parse_network(json.dumps(doc))
 
     def test_round_trip_via_serialize(self, rng):
-        for n in (3, 6, 9):
-            net = random_network(rng, n)
+        lone = np.zeros((1, 1))
+        nets = [AcquaintanceNetwork(n=1, delta=0.25, p=lone, x=lone, y=lone, z=lone, w0=np.array([0.5]))]
+        nets += [random_network(rng, n) for n in (3, 6, 9)]
+        nets.append(random_network(rng, 500, extra_edge_prob=8 / 500))
+        for net in nets:
             again = parse_network(serialize_network(net))
-            assert validate_network(again).ok
-            np.testing.assert_array_equal(again.p, net.p)
-            np.testing.assert_array_equal(again.x, net.x)
-            np.testing.assert_array_equal(again.w0, net.w0)
+            assert validate_network(again).ok == (net.n > 1)  # one node has no meetings to sum to 1
+            assert again.delta == net.delta
+            for name in ("p", "x", "y", "z", "w0"):
+                np.testing.assert_array_equal(getattr(again, name), getattr(net, name))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {1: "not an edge"},
+            {1: {"from": MISSING}},
+            {2: {"from": 2**63}},  # beyond int64
+            {2: {"from": -(2**64)}},
+            {2: {"to": True}},
+            {2: {"from": 1.0}},
+            {2: {"to": 3}},
+            {2: {"from": 0, "to": 1}},  # repeats edges[0]
+            {2: {"p": 10**400}},  # beyond the float range
+            {2: {"x": float("nan")}},
+            {2: {"y": -float("inf")}},
+            {2: {"z": False}},
+            {2: {"p": None}},
+            {1: {"z": "0"}, 2: {"from": 2**70}},  # the first faulty edge is named
+            {1: {"from": 2, "to": 0}, 2: {"p": float("inf")}},
+        ],
+        ids=lambda edit: repr(edit)[:40],
+    )
+    def test_column_refusal_names_the_first_faulty_edge(self, reference_parse_network, edit):
+        doc = json.loads(serialize_network(cycle(3)))
+        for idx, fields in edit.items():
+            if isinstance(fields, dict):
+                merged = {**doc["edges"][idx], **fields}
+                fields = {key: value for key, value in merged.items() if value is not MISSING}
+            doc["edges"][idx] = fields
+        text = json.dumps(doc)
+        with pytest.raises(NetworkFormatError) as expected:
+            reference_parse_network(text)
+        with pytest.raises(NetworkFormatError) as refused:
+            parse_network(text)
+        assert str(refused.value) == str(expected.value)
 
 
 class TestValidate:
@@ -206,6 +248,66 @@ class TestDiameter:
     def test_relabeling_invariance(self, perm):
         net = random_network(np.random.default_rng(7), 7)
         assert diameter(permute(net, perm)) == diameter(net)
+
+
+def plain_bfs(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
+    """One queue-based breadth-first search per seed row: the reference for ``reachable``."""
+    rows = np.atleast_2d(seeds)
+    reached = np.zeros(rows.shape, dtype=bool)
+    hops = 0
+    for row, start in enumerate(rows):
+        dist = dict.fromkeys(np.flatnonzero(start).tolist(), 0)
+        queue = collections.deque(dist)
+        while queue:
+            u = queue.popleft()
+            for v in np.flatnonzero(adj[u]).tolist():
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        reached[row, list(dist)] = True
+        hops = max(hops, *dist.values(), 0)
+    return reached.reshape(np.shape(seeds)), hops
+
+
+def _supports():
+    rng = np.random.default_rng(130)
+    connected = random_network(rng, 130, extra_edge_prob=8 / 130).support
+    sink = connected.copy()
+    sink[7, :] = False  # node 7 meets no one
+    sink[:, 3] = False  # no one meets node 3
+    return {"random-n130": connected, "sink-n130": sink, "n1": np.zeros((1, 1), dtype=bool)}
+
+
+SUPPORTS = _supports()
+
+
+class TestReachable:
+    @pytest.mark.parametrize("graph", SUPPORTS)
+    def test_single_seed_set(self, graph):
+        adj = SUPPORTS[graph]
+        for start in (0, adj.shape[0] - 1):
+            seeds = np.arange(adj.shape[0]) == start
+            reached, hops = reachable(adj, seeds)
+            expected, expected_hops = plain_bfs(adj, seeds)
+            assert reached.shape == seeds.shape and reached.dtype == bool
+            np.testing.assert_array_equal(reached, expected)
+            assert hops == expected_hops
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, "n"])
+    @pytest.mark.parametrize("graph", SUPPORTS)
+    def test_many_seed_sets_across_words(self, graph, k):
+        adj = SUPPORTS[graph]
+        n = adj.shape[0]
+        k = n if k == "n" else k
+        rng = np.random.default_rng(k)
+        seeds = rng.random((k, n)) < 2.0 / n  # some rows empty, some with several seeds
+        seeds[-1] = np.arange(n) == 3  # the highest bit in use: a search from node 3 alone
+        for rows in (seeds, np.eye(n, dtype=bool)[rng.integers(0, n, size=k)]):
+            reached, hops = reachable(adj, rows)
+            expected, expected_hops = plain_bfs(adj, rows)
+            assert reached.shape == (k, n) and reached.dtype == bool
+            np.testing.assert_array_equal(reached, expected)
+            assert hops == expected_hops
 
 
 class TestEdgePartition:

@@ -47,6 +47,8 @@ def _corpus():
             support = rng.random((n, n)) < prob
             np.fill_diagonal(support, False)
             nets.append((f"sparse-n{n}-{k}", on_support(support)))
+    # more than 128 nodes: an all-source search spans three 64-bit words per node
+    nets.append(("random-n130", random_network(rng, 130, extra_edge_prob=8 / 130)))
     return nets
 
 
