@@ -139,6 +139,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
         setattr(args, action.dest, converted)
     if getattr(args, "replicas", 1) < 1:
         return "--replicas must be >= 1"
+    if getattr(args, "max_slots", 1) < 1:
+        return "--max-slots must be >= 1"
     if not (0 < getattr(args, "tol", 1.0) < math.inf):
         return "--tol must be positive and finite"
     if getattr(args, "seed", 0) < 0:

@@ -71,25 +71,33 @@ class EnsembleSummary:
 
 
 def build_sampler(net: AcquaintanceNetwork):
-    """CSR-style cumulative meeting table: (nbr_idx, nbr_cum, row_start).
+    """Padded cumulative meeting table: (table, partner, width).
 
-    Row i's partners live in nbr_idx[row_start[i]:row_start[i+1]] with
-    cumulative probabilities ending exactly at 1.0 (each row rescaled by
-    its own sum, which the validator already pins to 1 within 1e-9).
-    The cumulative sums run over the dense rows: adding a zero is exact,
-    so each partner's entry equals the sum over that row's partners alone,
+    ``width`` is the smallest power of two at least the largest degree.
+    Row i of the flat float64 ``table`` is ``table[i*width:(i+1)*width]``:
+    the cumulative probabilities of i's partners in index order, ending
+    exactly at 1.0 (each row rescaled by its own sum, which the validator
+    already pins to 1 within 1e-9), then ``+inf``.  The int32 ``partner``
+    holds the partner indices in the same layout (0 in the padding).  The
+    cumulative sums run over the dense rows: adding a zero is exact, so
+    each partner's entry equals the sum over that row's partners alone,
     and the last one, divided by itself, is exactly 1.0.
     """
     support = net.p != 0
     degree = support.sum(axis=1)
     if not degree.all():
         raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
+    width = 1 << int(degree.max() - 1).bit_length()
+    # row i's first degree[i] cells; masks fill row-major, as the support lists its nonzeros
+    filled = (np.arange(width) < degree[:, None]).ravel()
     cum = np.cumsum(net.p, axis=1)
     cum /= cum[:, -1:]
-    rows, cols = np.nonzero(support)
-    row_start = np.zeros(net.n + 1, dtype=np.int64)
-    np.cumsum(degree, out=row_start[1:])
-    return cols.astype(np.int64), cum[rows, cols], row_start
+    table = np.full(net.n * width, np.inf)
+    table[filled] = cum[support]
+    del cum  # before the partner indices' temporaries, which lowers the peak by n x n floats
+    partner = np.zeros(net.n * width, dtype=np.int32)
+    partner[filled] = np.flatnonzero(support) % net.n
+    return table, partner, width
 
 
 def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 The gossip kernel advances a group of replicas, all at the same slot,
 through one chunk of pre-drawn uniforms each, three per slot.  It decodes
-the whole group into meetings with one numpy call (``decode_meetings``),
-drops the persistent meetings, which change nothing, and applies the rest
-in one scalar loop per replica over its willingness list, which Python
-indexes several times faster than a numpy array element by element.  The
-loop tracks the running max and min instead of rescanning all n values
+the whole group into meetings with one numpy call (``decode_meetings``):
+``gossip.build_sampler`` pads every node's row of cumulative meeting
+probabilities with +inf to one power-of-two width, so each partner is
+found by the same log2(width) steps of a fixed-step search (Khuong &
+Morin, ACM JEA 2017), run over all rows at once without a data-dependent
+loop.  It drops the persistent meetings, which change nothing, and applies
+the rest in one scalar loop per replica over its willingness list, which
+Python indexes several times faster than a numpy array element by element.
+The loop tracks the running max and min instead of rescanning all n values
 every slot; the spread, its monotonicity and the tol test are evaluated
 only when a rescan moved an extreme.  Recording splits the chunk at the
 recorded slots instead of testing every slot.  The caller sizes each chunk
@@ -41,37 +45,38 @@ KIND_INFLUENCE = 1
 KIND_PERSISTENT = 2
 
 
-def decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms):
+def decode_meetings(table, partner, width, x, y, uniforms):
     """Decode uniform triples, one row per slot, into meetings (i, j, kind).
 
-    The initiator is ``min(int(u0 * n), n - 1)``.  The partner is the
-    first entry of the initiator's CSR row whose cumulative probability
-    exceeds u1, found by a bisection run in lockstep over all rows that
-    makes the same ``nbr_cum[mid] > u1`` comparisons as a scalar search
-    of that row alone.  The kind is regular if ``u2 < y[i, j]``, influence
-    if ``u2 < y[i, j] + x[i, j]``, persistent otherwise.  Returns three
-    int64 arrays.
+    The initiator is ``min(int(u0 * n), n - 1)``.  Row i of the padded
+    meeting table (``gossip.build_sampler``) is ``table[i*width:(i+1)*width]``:
+    the cumulative probabilities of i's partners, non-decreasing and ending
+    at exactly 1.0, then ``+inf``; ``partner`` holds the partner indices in
+    the same layout.  The partner is the first entry of the row with
+    cumulative probability above u1, found by a fixed-step search run over
+    all rows at once: for step = width/2, ..., 1, the position moves on by
+    step if the entry step - 1 ahead is ``<= u1``.  That is log2(width)
+    steps with no test for whether every search has settled, and it ends
+    on the first entry above u1 because the entries ``<= u1`` form a prefix
+    of the row that never reaches its last real entry, 1.0.  The kind is
+    regular if ``u2 < y[i, j]``, influence if ``u2 < y[i, j] + x[i, j]``,
+    persistent otherwise; as ``x >= 0``, that is the number of those two
+    bounds that u2 reaches.  Returns three int64 arrays.
     """
-    n = row_start.shape[0] - 1
+    n = x.shape[0]
     u1 = uniforms[:, 1]
     u2 = uniforms[:, 2]
     i = (uniforms[:, 0] * n).astype(np.int64)
     np.minimum(i, n - 1, out=i)
-    lo = row_start[i]
-    hi = row_start[i + 1]
-    # A settled search (lo == hi) is a fixed point of the step below:
-    # nbr_cum[lo] > u1 holds there, because every row ends at 1.0 > u1.
-    while (lo < hi).any():
-        mid = (lo + hi) >> 1
-        left = nbr_cum[mid] > u1
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid + 1)
-    j = nbr_idx[lo]
+    pos = i * width
+    step = width >> 1
+    while step:
+        pos += (table.take(pos + (step - 1)) <= u1) * step
+        step >>= 1
+    j = partner.take(pos).astype(np.int64)
     flat = i * n + j
     yy = y.take(flat)
-    kind = np.full(i.shape[0], KIND_PERSISTENT, dtype=np.int64)
-    kind[u2 < yy + x.take(flat)] = KIND_INFLUENCE
-    kind[u2 < yy] = KIND_REGULAR
+    kind = np.add(u2 >= yy, u2 >= yy + x.take(flat), dtype=np.int64)
     return i, j, kind
 
 
@@ -167,7 +172,8 @@ def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
                 continue
             top = not wa < mx
             bottom = not mn < wa
-        # one pass in bytecode beats the max() and min() builtins here
+        # A bytecode pass beats the max() and min() builtins here, for one side
+        # as for both (CPython 3.11, 50 values: one side 1.3 against 1.5 us).
         if top and bottom:
             mx = w[0]
             mn = w[0]
@@ -200,14 +206,15 @@ def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
 
 
 def gossip_chunk(
-    ws, nbr_idx, nbr_cum, row_start, x, y, delta, tol, uniforms, slot, spreads, record_every, records
+    ws, table, partner, width, x, y, delta, tol, uniforms, slot, spreads, record_every, records
 ):
     """Advance a group of replicas, all standing at ``slot``, by one chunk of slots each.
 
     ``ws`` holds each replica's willingness list, updated in place, and
     ``spreads`` their spreads on entry, all above tol.  ``uniforms`` holds
     ``count`` rows per replica, one per slot, replica q's in the q-th block
-    of ``count`` rows; one ``decode_meetings`` call decodes the whole group.
+    of ``count`` rows; one ``decode_meetings`` call decodes the whole group
+    from the padded meeting table ``(table, partner, width)``.
     Averaging sets both endpoints to their mean; influence moves the
     initiator toward the partner with retention delta, clamped into the
     pre-meeting pair interval so the spread is exactly non-increasing in
@@ -223,7 +230,7 @@ def gossip_chunk(
     """
     group = len(ws)
     count = uniforms.shape[0] // group
-    i, j, kind = decode_meetings(nbr_idx, nbr_cum, row_start, x, y, uniforms)
+    i, j, kind = decode_meetings(table, partner, width, x, y, uniforms)
     rows = np.flatnonzero(kind != KIND_PERSISTENT)
     done = rows % count + (slot + 1)
     codes = np.where(kind[rows] == KIND_REGULAR, done, -done).tolist()
@@ -263,10 +270,11 @@ def gossip_chunk(
 
 def warmup() -> None:
     """Run both kernels once on tiny inputs; perfbench times it at start-up."""
-    nbr_idx = np.array([1, 0], dtype=np.int64)
-    row_start = np.array([0, 1, 2], dtype=np.int64)
+    # the two-node regular pair, padded to width 2 so the search takes a step
+    table = np.array([1.0, np.inf, 1.0, np.inf])
+    partner = np.array([1, 0, 0, 0], dtype=np.int32)
     gossip_chunk(
-        [[0.0, 1.0], [0.0, 1.0]], nbr_idx, np.ones(2), row_start, np.zeros((2, 2)), np.ones((2, 2)),
+        [[0.0, 1.0], [0.0, 1.0]], table, partner, 2, np.zeros((2, 2)), np.ones((2, 2)),
         0.5, 1e-9, np.full((4, 3), 0.25), 0, [1.0, 1.0], 1, [[], []],
     )
     conductance_scan(np.full((2, 2), 0.5))

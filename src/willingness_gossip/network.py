@@ -76,7 +76,7 @@ class AcquaintanceNetwork:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Ordered pairs (i, j) with p[i, j] > 0, in row-major order."""
-        rows, cols = np.nonzero(self.p)
+        rows, cols = np.divmod(np.flatnonzero(self.p != 0), self.n)
         return list(zip(rows.tolist(), cols.tolist()))
 
     # Not cached: a cache would keep two more n x n arrays alive per network.

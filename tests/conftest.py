@@ -12,8 +12,7 @@ from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _
 
 def _sample_meetings_batch(net, count: int, rng: np.random.Generator):
     """``count`` meetings (i, j, kind) decoded from ``rng`` exactly as the simulator decodes them."""
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
-    return decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, rng.random((count, 3)))
+    return decode_meetings(*build_sampler(net), net.x, net.y, rng.random((count, 3)))
 
 
 def _empirical_mean_update(net, count: int, rng: np.random.Generator):

@@ -304,6 +304,32 @@ def test_out_of_range_value_is_usage_error(influencer_pair_path, tmp_path, capsy
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["simulate", "--max-slots", "-5"], {}),
+        (["simulate", "--max-slots", "0"], {}),
+        (["analyze", "--max-slots", "-1"], {}),
+        (["simulate"], {"WG_MAX_SLOTS": "0"}),
+        (["analyze"], {"WG_MAX_SLOTS": "-1"}),
+    ],
+    ids=["simulate-negative", "simulate-0", "analyze-negative", "env-simulate-0", "env-analyze-negative"],
+)
+def test_max_slots_below_one_is_usage_error(influencer_pair_path, tmp_path, capsys, monkeypatch, argv, env):
+    # test_out_of_range_value_is_usage_error appends its own --max-slots, which would win
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "report.json"
+    argv = argv + ["--network", influencer_pair_path] + (["--out", str(out)] if argv[0] == "analyze" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-slots" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypatch):
     monkeypatch.setenv("WG_SEED", "-1")
     assert main(["validate", "--network", influencer_pair_path]) == 0

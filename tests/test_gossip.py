@@ -11,6 +11,7 @@ from willingness_gossip import gossip
 from willingness_gossip.fixtures import (
     barbell,
     bridged_clusters,
+    complete,
     random_network,
     two_node_influencer,
     two_node_regular,
@@ -107,7 +108,12 @@ class TestSampling:
 
 
 def per_row_sampler(net):
-    """The per-row construction of the meeting table, as a reference."""
+    """Each row's partners and cumulative meeting probabilities, built row by row from ``net.p``.
+
+    Returns (nbr_idx, nbr_cum, row_start): row i's entries are
+    ``[row_start[i]:row_start[i+1]]``.  The reference for the padded table
+    of ``build_sampler`` and for the search of ``kernels.decode_meetings``.
+    """
     nbr_idx, cums = [], []
     row_start = np.zeros(net.n + 1, dtype=np.int64)
     for i in range(net.n):
@@ -122,14 +128,21 @@ def per_row_sampler(net):
 
 
 def test_build_sampler_equals_per_row_loop(rng):
-    nets = [barbell(3), two_node_influencer()]
+    nets = [barbell(3), two_node_influencer(), complete(17), complete(18)]
     nets += [random_network(rng, int(rng.integers(2, 30))) for _ in range(10)]
     for net in nets:
-        got = build_sampler(net)
-        want = per_row_sampler(net)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        table, partner, width = build_sampler(net)
+        nbr_idx, nbr_cum, row_start = per_row_sampler(net)
+        degree = np.diff(row_start)
+        assert width == 1 << int(degree.max() - 1).bit_length()  # smallest power of two >= max degree
+        assert table.dtype == np.float64 and partner.dtype == np.int32
+        assert table.shape == partner.shape == (net.n * width,)
+        for i in range(net.n):
+            row = slice(i * width, (i + 1) * width)
+            want = nbr_cum[row_start[i] : row_start[i + 1]]
+            assert table[row][: degree[i]].tobytes() == want.tobytes(), i  # bit for bit
+            assert np.all(table[row][degree[i] :] == np.inf)
+            assert np.array_equal(partner[row][: degree[i]], nbr_idx[row_start[i] : row_start[i + 1]])
 
 
 class TestRunReplica:
@@ -260,8 +273,18 @@ class TestEnsemble:
                 lambda: random_network(np.random.default_rng(50), 50, extra_edge_prob=8 / 50), 12, 7, 2300,
                 "b24a1ad0dae600ba3dc4d94fca642891b224c277906c9944471d5a8516e95805", 8, 26727, 2300,
             ),
+            # Recorded from the lockstep bisection over unpadded rows: every row
+            # fills the width 16 exactly; two rows of degree 17 pad the rest to 32.
+            (
+                lambda: random_network(np.random.default_rng(17), 17, extra_edge_prob=1.0), 16, 11, 10**6,
+                "21433eac5bc5ce2a076e26a93e8139a648380e2f23a4fb3d15b43a24d3e9c8d4", 16, 10505, 764,
+            ),
+            (
+                lambda: random_network(np.random.default_rng(1), 30, extra_edge_prob=0.4), 16, 13, 10**6,
+                "fae361944091e7e1545485cd94eaa65f9210d6a2f28553f592a6acd286404c27", 16, 22300, 1617,
+            ),
         ],
-        ids=["random-n8", "bridged-4+5", "random-n50-budget"],
+        ids=["random-n8", "bridged-4+5", "random-n50-budget", "complete-n17", "max-degree-17"],
     )
     @pytest.mark.parametrize("wave", [None, 5], ids=["one-wave", "waves-of-5"])
     def test_pinned_streams(

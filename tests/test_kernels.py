@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 
+from test_gossip import per_row_sampler
+
 from willingness_gossip import kernels
 from willingness_gossip.fixtures import random_network
 from willingness_gossip.gossip import apply_meeting, build_sampler
+from willingness_gossip.network import AcquaintanceNetwork
 
 
 def drive(net, uniforms, tol=1e-9, group=1):
@@ -15,45 +18,79 @@ def drive(net, uniforms, tol=1e-9, group=1):
     Returns each replica's (willingness list, records, (slot, spread, monotone));
     replica q reads the q-th block of ``len(uniforms) // group`` rows.
     """
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
     ws = [net.w0.tolist() for _ in range(group)]
     records = [[] for _ in range(group)]
     out = kernels.gossip_chunk(
-        ws, nbr_idx, nbr_cum, row_start, net.x, net.y, float(net.delta), tol,
+        ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
         uniforms, 0, [float(net.w0.max() - net.w0.min())] * group, 1, records,
     )
     return list(zip(ws, records, out))
 
 
-def test_decode_meetings_matches_per_row_searchsorted(rng):
-    net = random_network(rng, 30, extra_edge_prob=0.6)
-    nbr_idx, nbr_cum, row_start = build_sampler(net)
-    n = net.n
-    assert np.diff(row_start).max() >= 16  # rows need 5+ bisection steps
-    uniforms = np.random.default_rng(3).random((5000, 3))
-    # u0 one ulp below 1 picks the last initiator
-    uniforms[0, 0] = np.nextafter(1.0, 0.0)
-    # u1 exactly on each row's cumulative boundaries, and one ulp either side
-    rows = np.repeat(np.arange(n), np.diff(row_start))
-    edges = np.concatenate([nbr_cum, np.nextafter(nbr_cum, 0.0), np.nextafter(nbr_cum, 2.0)])
-    edge_rows = np.tile(rows, 3)
-    keep = edges < 1.0
-    m = int(keep.sum())
-    uniforms[1 : 1 + m, 0] = (edge_rows[keep] + 0.5) / n
-    uniforms[1 : 1 + m, 1] = edges[keep]
-    uniforms[1 + m, 1] = 0.0
+def _ring():
+    """Every node meets only its successor (degree 1: width 1, a search of no steps), all three kinds."""
+    p = np.roll(np.eye(6), 1, axis=1)
+    return AcquaintanceNetwork(n=6, delta=0.3, p=p, x=0.3 * p, y=0.5 * p, z=0.2 * p, w0=np.linspace(0.0, 1.0, 6))
 
-    i, j, kind = kernels.decode_meetings(nbr_idx, nbr_cum, row_start, net.x, net.y, uniforms)
-    assert i[0] == n - 1
-    for t in range(uniforms.shape[0]):
-        u0, u1, u2 = uniforms[t]
-        ii = min(int(u0 * n), n - 1)
-        row = slice(row_start[ii], row_start[ii + 1])
-        k = int(np.searchsorted(nbr_cum[row], u1, side="right"))
-        jj = nbr_idx[row][k]
-        yy, xx = net.y[ii, jj], net.x[ii, jj]
-        code = 0 if u2 < yy else 1 if u2 < yy + xx else 2
-        assert (i[t], j[t], kind[t]) == (ii, jj, code), t
+
+def _tied_cumulative():
+    """Row 0 holds two equal consecutive cumulative values: p[0, 2] is below one ulp of 0.5."""
+    net = random_network(np.random.default_rng(4), 8, extra_edge_prob=1.0)
+    p = net.p.copy()
+    p[0] = 0.0
+    p[0, 1:4] = [0.5, 1e-300, 0.5]
+    return dataclasses.replace(net, p=p)
+
+
+def test_decode_meetings_matches_per_row_searchsorted():
+    # (name, network, largest degree): widths 32, 1, 16, 32, 16 and 8
+    nets = [
+        ("random-n30", random_network(np.random.default_rng(20260810), 30, extra_edge_prob=0.6), 23),
+        ("ring", _ring(), 1),
+        ("max-degree-16", random_network(np.random.default_rng(2), 30, extra_edge_prob=0.35), 16),
+        ("max-degree-17", random_network(np.random.default_rng(1), 30, extra_edge_prob=0.4), 17),
+        ("complete-n12", random_network(np.random.default_rng(5), 12, extra_edge_prob=1.0), 11),
+        ("tied-cumulative", _tied_cumulative(), 7),
+    ]
+    for name, net, max_degree in nets:
+        # the oracle reads net.p row by row, not the padded table
+        nbr_idx, nbr_cum, row_start = per_row_sampler(net)
+        n = net.n
+        degree = np.diff(row_start)
+        assert degree.max() == max_degree, name
+        uniforms = np.random.default_rng(3).random((5000, 3))
+        # u0 one ulp below 1 picks the last initiator
+        uniforms[0, 0] = np.nextafter(1.0, 0.0)
+        # u1 exactly on each row's cumulative boundaries, and one ulp either side
+        rows = np.repeat(np.arange(n), degree)
+        edges = np.concatenate([nbr_cum, np.nextafter(nbr_cum, 0.0), np.nextafter(nbr_cum, 2.0)])
+        edge_rows = np.tile(rows, 3)
+        keep = edges < 1.0
+        m = int(keep.sum())
+        uniforms[1 : 1 + m, 0] = (edge_rows[keep] + 0.5) / n
+        uniforms[1 : 1 + m, 1] = edges[keep]
+        uniforms[1 + m, 1] = 0.0
+
+        i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+        assert i.dtype == j.dtype == kind.dtype == np.int64
+        assert i[0] == n - 1, name
+        # the same meetings again with u2 exactly on the bounds y and y + x of the kinds
+        on_bounds = uniforms.copy()
+        on_bounds[::2, 2] = net.y[i, j][::2]
+        on_bounds[1::2, 2] = (net.y + net.x)[i, j][1::2]
+        uniforms = np.vstack([uniforms, on_bounds])
+        i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+        for t in range(uniforms.shape[0]):
+            u0, u1, u2 = uniforms[t]
+            ii = min(int(u0 * n), n - 1)
+            row = slice(row_start[ii], row_start[ii + 1])
+            k = int(np.searchsorted(nbr_cum[row], u1, side="right"))
+            jj = nbr_idx[row][k]
+            yy, xx = net.y[ii, jj], net.x[ii, jj]
+            code = 0 if u2 < yy else 1 if u2 < yy + xx else 2
+            assert (i[t], j[t], kind[t]) == (ii, jj, code), (name, t)
+        if name == "tied-cumulative":
+            assert nbr_cum[0] == nbr_cum[1] == 0.5 and nbr_cum[2] == 1.0
 
 
 def test_gossip_chunk_equals_folded_apply_meeting(rng):
