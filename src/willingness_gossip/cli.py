@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
@@ -105,20 +106,31 @@ def _load_valid(path: str):
     return (net, EXIT_OK) if report.ok else (None, EXIT_INVALID)
 
 
-def _write_trace(net, args) -> None:
-    """Re-run replica 0 of the ensemble with recording and write its trace CSV."""
+def _write(path: str, what: str, write) -> bool:
+    """Call ``write(path)``; when that raises OSError, say so on stderr and return False."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_trace(net, args) -> bool:
+    """Re-run replica 0 of the ensemble with recording and write its trace CSV; False if unwritable."""
     trace = run_replica(net, max_slots=args.max_slots, tol=args.tol, seed=replica_seed(args.seed, 0))
-    write_trace_csv(args.trace, trace)
+    return _write(args.trace, "trace", lambda path: write_trace_csv(path, trace))
 
 
-def _emit(out: str | None, text: str, what: str) -> None:
-    """Write ``text`` to the file ``out`` and say so, or to stdout when no file is given."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"{what} written to {out}")
-    else:
+def _emit(out: str | None, text: str, what: str) -> bool:
+    """Write ``text`` to the file ``out`` and say so, or to stdout when no file is given; False if unwritable."""
+    if not out:
         sys.stdout.write(text)
+        return True
+    if not _write(out, what, lambda path: Path(path).write_text(text, encoding="utf-8")):
+        return False
+    print(f"{what} written to {out}")
+    return True
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
@@ -155,7 +167,7 @@ def cmd_validate(args) -> int:
     net, code = _load_valid(args.network)
     if net is None:
         return code
-    print(f"network OK: n={net.n}, edges={len(net.edge_list())}, delta={net.delta}")
+    print(f"network OK: n={net.n}, edges={net.edges[0].size}, delta={net.delta}")
     return EXIT_OK
 
 
@@ -173,7 +185,8 @@ def cmd_simulate(args) -> int:
     print(f"mean slots: {ens.mean_slots:.1f}, max slots: {ens.max_slots_used}")
 
     if args.trace:
-        _write_trace(net, args)
+        if not _write_trace(net, args):
+            return EXIT_PARSE
         print(f"trace written to {args.trace}")
 
     return EXIT_OK if ens.converged_count > 0 else EXIT_NO_CONVERGENCE
@@ -187,14 +200,14 @@ def cmd_analyze(args) -> int:
     payload, ok, impact_report = analyze(net, RunConfig(**vars(args)))
 
     if args.format == "json":
-        _emit(args.out, render_json(payload), "report")
+        written = _emit(args.out, render_json(payload), "report")
     elif impact_report is None:
         print("impact analysis failed; no CSV to write", file=sys.stderr)
+        written = True
     else:
-        _emit(args.out, render_impact_csv(impact_report), "impact table")
-
-    if args.trace:
-        _write_trace(net, args)
+        written = _emit(args.out, render_impact_csv(impact_report), "impact table")
+    if not written or (args.trace and not _write_trace(net, args)):
+        return EXIT_PARSE
 
     return EXIT_OK if ok else EXIT_PARTIAL
 

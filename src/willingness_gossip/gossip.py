@@ -83,20 +83,20 @@ def build_sampler(net: AcquaintanceNetwork):
     each partner's entry equals the sum over that row's partners alone,
     and the last one, divided by itself, is exactly 1.0.
     """
-    support = net.p != 0
-    degree = support.sum(axis=1)
+    tails, heads = net.edges
+    degree = np.bincount(tails, minlength=net.n)
     if not degree.all():
         raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
     width = 1 << int(degree.max() - 1).bit_length()
-    # row i's first degree[i] cells; masks fill row-major, as the support lists its nonzeros
+    # row i's first degree[i] cells; the mask fills row-major, the order of the edge list
     filled = (np.arange(width) < degree[:, None]).ravel()
     cum = np.cumsum(net.p, axis=1)
     cum /= cum[:, -1:]
     table = np.full(net.n * width, np.inf)
-    table[filled] = cum[support]
-    del cum  # before the partner indices' temporaries, which lowers the peak by n x n floats
+    table[filled] = cum[tails, heads]
+    del cum  # before the partner table is allocated, which lowers the peak by n x n floats
     partner = np.zeros(net.n * width, dtype=np.int32)
-    partner[filled] = np.flatnonzero(support) % net.n
+    partner[filled] = heads
     return table, partner, width
 
 

@@ -115,19 +115,19 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     ``exact`` rather than trusted blindly; raises Thm6InapplicableError,
     with the reason the report prints, where the form does not apply.
     """
-    q = net.influence
     n = net.n
-    pairs = np.flatnonzero(q > 0.0)  # flat indices i * n + j: numpy's 2-d nonzero scans far slower
-    if pairs.size == 0:
+    p, x, z = net.p, net.x, net.z
+    tails, heads = net.edges
+    influential = np.flatnonzero(p[tails, heads] * x[tails, heads] > 0.0)
+    if influential.size == 0:
         raise Thm6InapplicableError("no influential edge")
-    if pairs.size > 1:
-        raise Thm6InapplicableError(f"multiple influential edges ({pairs.size})")
-    i, j = divmod(int(pairs[0]), n)
+    if influential.size > 1:
+        raise Thm6InapplicableError(f"multiple influential edges ({influential.size})")
+    i, j = int(tails[influential[0]]), int(heads[influential[0]])
     partition = edge_partition(net, i, j)
     if partition is None:
         raise Thm6InapplicableError(f"influential edge ({i}, {j}) is not a bridge")
-    s = net.social
-    mu = float(q[i, j] / (s[i, j] + s[j, i]))
+    mu = float(p[i, j] * x[i, j] / (p[i, j] * (1.0 - z[i, j]) + p[j, i] * (1.0 - z[j, i])))
     size_i = len(partition.side_i)
     size_j = len(partition.side_j)
     denom = 1.0 - (mu / n) * (size_i + (2.0 * net.delta - 1.0) * size_j)

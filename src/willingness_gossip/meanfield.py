@@ -130,14 +130,12 @@ def fundamental_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``Z @ rhs`` with ``Z = inv(I - K + K_inf)``, ``K_inf = ones/n``, by one solve.
 
     ``K`` is a doubly stochastic social matrix.  Irreducibility is checked
-    first: node 0 must reach every node along the off-diagonal support of
-    K (symmetric, so one search suffices).  Raises ValueError for a
-    reducible K.
+    first: node 0 must reach every node along the nonzeros of K
+    (symmetric, so one search suffices; a diagonal nonzero is a self-loop,
+    which reaches nothing new).  Raises ValueError for a reducible K.
     """
     n = K.shape[0]
-    off = K > 0.0
-    np.fill_diagonal(off, False)
-    if not reachable(off, np.arange(n) == 0)[0].all():
+    if not reachable(*np.divmod(np.flatnonzero(K > 0.0), n), np.arange(n) == 0)[0].all():
         raise ValueError("social matrix is reducible; fundamental matrix undefined")
     return _solve(_deflated(K), rhs, "fundamental solve")  # cannot fail for irreducible K
 

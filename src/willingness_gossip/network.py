@@ -70,14 +70,13 @@ class AcquaintanceNetwork:
             object.__setattr__(self, name, arr)
 
     @property
-    def support(self) -> np.ndarray:
-        """Boolean adjacency of the directed edge set {(i, j): p[i, j] > 0}."""
-        return self.p > 0.0
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(tails, heads)`` of the directed edges {(i, j): p[i, j] > 0}, in row-major order.
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Ordered pairs (i, j) with p[i, j] > 0, in row-major order."""
-        rows, cols = np.divmod(np.flatnonzero(self.p != 0), self.n)
-        return list(zip(rows.tolist(), cols.tolist()))
+        Not cached: one pass over ``p`` is small next to the n x n work of
+        every caller, and a frozen network then holds nothing but its inputs.
+        """
+        return np.divmod(np.flatnonzero(self.p > 0.0), self.n)
 
     # Not cached: a cache would keep two more n x n arrays alive per network.
     @property
@@ -236,18 +235,9 @@ def _raise_first_faulty_edge(edges: list, n: int) -> NoReturn:
 
 def serialize_network(net: AcquaintanceNetwork) -> str:
     """Serialize a network back to the JSON document format."""
-    edges = []
-    for i, j in net.edge_list():
-        edges.append(
-            {
-                "from": int(i),
-                "to": int(j),
-                "p": float(net.p[i, j]),
-                "x": float(net.x[i, j]),
-                "y": float(net.y[i, j]),
-                "z": float(net.z[i, j]),
-            }
-        )
+    tails, heads = net.edges
+    columns = [tails, heads] + [arr[tails, heads] for arr in (net.p, net.x, net.y, net.z)]
+    edges = [dict(zip(_EDGE_FIELDS, row)) for row in zip(*(col.tolist() for col in columns))]
     doc = {
         "n": net.n,
         "delta": float(net.delta),
@@ -262,29 +252,22 @@ def load_network(path: str) -> AcquaintanceNetwork:
         return parse_network(fh.read())
 
 
-def reachable(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
-    """Nodes reachable along the directed edges of ``adj`` from each seed set.
+def reachable(tails: np.ndarray, heads: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nodes reachable along the directed edges ``tails[e] -> heads[e]`` from each seed set.
 
-    ``seeds`` is a boolean array of shape (n,) or (k, n); each row is the
-    start set of one search.  Returns ``(reached, hops)``: ``reached`` has
-    the shape of ``seeds``, and ``hops`` is the number of expansions that
-    reached a new node, i.e. the largest shortest-path hop count from a
-    seed set to a node it reaches.  All searches run together as one
-    bitset BFS over the edge list (see :func:`_bitset_search`).
-    """
-    adj = np.asarray(adj)
-    tails, heads = np.divmod(np.flatnonzero(adj), adj.shape[1])
-    return _bitset_search(tails, heads, seeds)
+    The edges may come in any order and may repeat.  ``seeds`` is a
+    boolean array of shape (n,) or (k, n); each row is the start set of
+    one search.  Returns ``(reached, hops)``: ``reached`` has the shape of
+    ``seeds``, and ``hops`` is the number of expansions that reached a new
+    node, i.e. the largest shortest-path hop count from a seed set to a
+    node it reaches.
 
-
-def _bitset_search(tails: np.ndarray, heads: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`reachable` along the edges ``tails[e] -> heads[e]``, in any order.
-
-    Each node holds one bit per search, packed into uint64 words (Then et
-    al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
-    VLDB 2014).  A hop ORs the words of each node's in-neighbours into its
-    own, one ``reduceat`` over the edges grouped by head; a self-loop per
-    node keeps its own words and gives every node a nonempty group.
+    All searches run together as one bitset BFS: each node holds one bit
+    per search, packed into uint64 words (Then et al., "The More the
+    Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014).  A hop
+    ORs the words of each node's in-neighbours into its own, one
+    ``reduceat`` over the edges grouped by head; a self-loop per node
+    keeps its own words and gives every node a nonempty group.
     """
     seeds = np.asarray(seeds, dtype=bool)
     rows = np.atleast_2d(seeds)
@@ -351,18 +334,18 @@ def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
             bad = _cells((mat < -TYPE_SUM_TOL) | (mat > 1.0 + TYPE_SUM_TOL))[0]
             v.append(f"interaction probability {name} out of [0, 1] at ({bad[0]}, {bad[1]})")
 
-    support = net.p > 0.0
-    type_sum = net.x + net.y + net.z
-    for i, j in _cells(support & (np.abs(type_sum - 1.0) > TYPE_SUM_TOL)):
-        v.append(f"interaction probabilities at edge ({i}, {j}) sum to {type_sum[i, j]:.12g}, expected 1")
+    tails, heads = net.edges
+    x, y, z = net.x[tails, heads], net.y[tails, heads], net.z[tails, heads]
+    type_sum = x + y + z
+    for e in np.flatnonzero(np.abs(type_sum - 1.0) > TYPE_SUM_TOL):
+        v.append(f"interaction probabilities at edge ({tails[e]}, {heads[e]}) sum to {type_sum[e]:.12g}, expected 1")
 
-    for i, j in _cells(support & (net.x + net.y <= 0.0)):
-        v.append(f"persistent-only edge ({i}, {j}): x + y must be positive")
+    for e in np.flatnonzero(x + y <= 0.0):
+        v.append(f"persistent-only edge ({tails[e]}, {heads[e]}): x + y must be positive")
 
-    # node 0 reaches every node, and every node reaches node 0; one edge list serves both searches
+    # node 0 reaches every node, and every node reaches node 0
     root = np.arange(n) == 0
-    tails, heads = np.divmod(np.flatnonzero(support), n)
-    if not (_bitset_search(tails, heads, root)[0].all() and _bitset_search(heads, tails, root)[0].all()):
+    if not (reachable(tails, heads, root)[0].all() and reachable(heads, tails, root)[0].all()):
         v.append("not strongly connected")
 
     for i in np.nonzero((net.w0 < 0.0) | (net.w0 > 1.0))[0]:
@@ -378,7 +361,7 @@ def diameter(net: AcquaintanceNetwork) -> int:
     :class:`NotStronglyConnectedError` naming the first node that does not
     reach every other node.
     """
-    reached, hops = reachable(net.support, np.eye(net.n, dtype=bool))
+    reached, hops = reachable(*net.edges, np.eye(net.n, dtype=bool))
     short = np.nonzero(~reached.all(axis=1))[0]
     if short.size:
         raise NotStronglyConnectedError(f"no path from node {short[0]} to some node")
@@ -398,10 +381,11 @@ def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | 
     if net.p[i, j] <= 0.0 and net.p[j, i] <= 0.0:
         raise ValueError(f"({i}, {j}) is not an edge")
 
-    undirected = net.support | net.support.T
-    undirected[i, j] = False
-    undirected[j, i] = False
-    seen = reachable(undirected, np.arange(net.n) == i)[0]
+    tails, heads = net.edges
+    keep = ~(((tails == i) & (heads == j)) | ((tails == j) & (heads == i)))
+    tails, heads = tails[keep], heads[keep]
+    # each edge in both directions; a pair met both ways is then listed twice
+    seen = reachable(np.concatenate((tails, heads)), np.concatenate((heads, tails)), np.arange(net.n) == i)[0]
     if seen[j]:
         return None
     side_i = frozenset(np.nonzero(seen)[0].tolist())

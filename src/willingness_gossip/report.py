@@ -155,7 +155,7 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
         "config": dataclasses.asdict(config),
         "network": {
             "n": net.n,
-            "edges": int(np.count_nonzero(net.p)),
+            "edges": net.edges[0].size,
             "influence_mass": net.influence_mass,
             "delta": net.delta,
         },

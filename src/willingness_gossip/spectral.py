@@ -67,23 +67,21 @@ def rho_constant(n: int, psi1: float, d: int) -> float | None:
     return float(base ** (1.0 / d))
 
 
-def theorem3_constants(net: AcquaintanceNetwork, d: int | None = None) -> tuple[float, float | None]:
+def theorem3_constants(net: AcquaintanceNetwork, K: np.ndarray, d: int | None = None) -> tuple[float, float | None]:
     """Edge-bottleneck constant psi1 and contraction rate rho.
 
-    psi1 is the minimum over directed support edges of the symmetrized
-    non-persistent meeting weight (1/n)[p_ij(1-z_ij)/2 + p_ji(1-z_ji)/2],
-    i.e. the smallest off-diagonal entry of K restricted to the support.
+    psi1 is the minimum over the directed edges (i, j) of the network of
+    the symmetrized non-persistent meeting weight
+    (1/n)[p_ij(1-z_ij)/2 + p_ji(1-z_ji)/2], which is the entry K[i, j] of
+    the social matrix ``K`` built from ``net``.
     """
     if d is None:
         d = diameter(net)
-    n = net.n
-    social = net.social
-    weight = (social + social.T) / (2.0 * n)
-    edges = net.p > 0.0
-    if not edges.any():
+    tails, heads = net.edges
+    if tails.size == 0:
         raise ValueError("network has no edges")
-    psi1 = float(weight[edges].min())
-    return psi1, rho_constant(n, psi1, d)
+    psi1 = float(K[tails, heads].min())
+    return psi1, rho_constant(net.n, psi1, d)
 
 
 def bound_linf(net: AcquaintanceNetwork, rho: float | None) -> float | None:
@@ -163,7 +161,7 @@ def build_spectral_report(
 ) -> SpectralReport:
     """Assemble the full spectral summary for one network."""
     d = diameter(net)
-    psi1, rho = theorem3_constants(net, d=d)
+    psi1, rho = theorem3_constants(net, K, d=d)
     lam2, gap = lambda2_gap(K)
     P, gamma = performance(pi_bar, net.w0)
 

@@ -1,9 +1,12 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-All tolerances and runtime budgets are pinned here.
+All tolerances and runtime budgets are pinned here.  A last test keeps
+the dense formulas that psi1 and the bridge closed form once used as
+exact oracles for their edge-list routes, so reports stay byte-identical.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -16,6 +19,7 @@ from willingness_gossip.errors import Thm6InapplicableError
 from willingness_gossip.fixtures import (
     barbell,
     bridged_clusters,
+    cycle,
     random_network,
     two_node_influencer,
     two_node_regular,
@@ -191,7 +195,7 @@ def test_criterion_6_bound_validity(corpus_stationary):
     violations = 0
     checked = 0
     for net, mm, pi in corpus_stationary:
-        _, rho = theorem3_constants(net)
+        _, rho = theorem3_constants(net, mm.K)
         if rho is None or rho >= 1.0:
             continue
         checked += 1
@@ -216,7 +220,7 @@ def test_criterion_6_bound_validity(corpus_stationary):
     mmb = build_mean_matrices(netb)
     pib = stationary_distribution(mmb)
     devb = pib - 0.5
-    _, rhob = theorem3_constants(netb)
+    _, rhob = theorem3_constants(netb, mmb.K)
     spot = (
         abs(np.max(np.abs(devb)) - 1.0 / 6.0) < 1e-12
         and bound_linf(netb, rhob) == 0.25
@@ -317,3 +321,50 @@ def test_criterion_9_deterministic_reports(tmp_path):
         identical,
         f"two analyze runs, {len(first)} bytes, byte-identical={identical}",
     )
+
+
+def dense_psi1(net):
+    """psi1 as the minimum of (s + s.T) / (2n) over the edges p > 0, s the social weights."""
+    s = net.social
+    return float(((s + s.T) / (2.0 * net.n))[net.p > 0.0].min())
+
+
+def dense_thm6_edge(net):
+    """The influential pairs of the dense influence matrix, and mu of the first one."""
+    q, s = net.influence, net.social
+    pairs = [(int(i), int(j)) for i, j in np.argwhere(q > 0.0)]
+    if not pairs:
+        return pairs, None
+    i, j = pairs[0]
+    return pairs, float(q[i, j] / (s[i, j] + s[j, i]))
+
+
+def test_edge_list_routes_match_dense_formulas(corpus):
+    bridged = [bridged_clusters(a, b, influence=0.6, delta=0.4) for a, b in itertools.product(range(1, 7), repeat=2)]
+    bridged += [barbell(4), bridged_clusters(3, 5), two_node_influencer()]
+    ring = cycle(5)
+    x, y = ring.x.copy(), ring.y.copy()
+    x[0, 1], y[0, 1] = 0.5, 0.5  # one influential edge that is not a bridge
+    bridged.append(dataclasses.replace(ring, x=x, y=y))
+    outcomes = set()
+    for net in corpus + bridged:
+        psi1, _ = theorem3_constants(net, build_mean_matrices(net).K)
+        assert psi1 == dense_psi1(net)
+        pairs, mu = dense_thm6_edge(net)
+        try:
+            result = impact_thm6(net, np.zeros(net.n))
+        except Thm6InapplicableError as exc:
+            reason = str(exc)
+        else:
+            assert (result.edge, result.mu) == (pairs[0], mu) and len(pairs) == 1
+            outcomes.add("closed form")
+            continue
+        if not pairs:
+            expected = "no influential edge"
+        elif len(pairs) > 1:
+            expected = f"multiple influential edges ({len(pairs)})"
+        else:
+            expected = f"influential edge {pairs[0]} is not a bridge"
+        assert reason == expected
+        outcomes.add(("none", "not a bridge", "multiple")[min(len(pairs), 2)])
+    assert outcomes == {"closed form", "none", "not a bridge", "multiple"}

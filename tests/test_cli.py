@@ -335,6 +335,26 @@ def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypa
     assert main(["validate", "--network", influencer_pair_path]) == 0
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["analyze", "--out"], "report"),
+        (["analyze", "--format", "csv", "--out"], "impact table"),
+        (["analyze", "--trace"], "trace"),
+        (["simulate", "--trace"], "trace"),
+    ],
+    ids=["analyze-out", "analyze-csv-out", "analyze-trace", "simulate-trace"],
+)
+def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys, argv, what, target):
+    path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+    rc = main([argv[0], "--network", influencer_pair_path, "--replicas", "2", *argv[1:], str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"cannot write {what}: ")
+    assert "Traceback" not in err
+
+
 class TestReportLibrary:
     def test_zero_replicas_skips_simulation(self, influencer_pair):
         config = RunConfig(command="analyze", network="mem", replicas=0)

@@ -269,41 +269,53 @@ def plain_bfs(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
     return reached.reshape(np.shape(seeds)), hops
 
 
-def _supports():
+def _graphs():
+    """Each graph as (dense adjacency for ``plain_bfs``, tails, heads for ``reachable``)."""
     rng = np.random.default_rng(130)
-    connected = random_network(rng, 130, extra_edge_prob=8 / 130).support
+    connected = random_network(rng, 130, extra_edge_prob=8 / 130).p > 0.0
     sink = connected.copy()
     sink[7, :] = False  # node 7 meets no one
     sink[:, 3] = False  # no one meets node 3
-    return {"random-n130": connected, "sink-n130": sink, "n1": np.zeros((1, 1), dtype=bool)}
+    graphs = {
+        name: (adj, *np.nonzero(adj))
+        for name, adj in (("random-n130", connected), ("sink-n130", sink), ("n1", np.zeros((1, 1), dtype=bool)))
+    }
+    # both directions of every edge, as edge_partition lists them, and each forward edge twice
+    tails, heads = np.nonzero(sink)
+    graphs["sink-n130-undirected-repeated"] = (
+        sink | sink.T,
+        np.concatenate((tails, heads, tails)),
+        np.concatenate((heads, tails, heads)),
+    )
+    return graphs
 
 
-SUPPORTS = _supports()
+GRAPHS = _graphs()
 
 
 class TestReachable:
-    @pytest.mark.parametrize("graph", SUPPORTS)
+    @pytest.mark.parametrize("graph", GRAPHS)
     def test_single_seed_set(self, graph):
-        adj = SUPPORTS[graph]
+        adj, tails, heads = GRAPHS[graph]
         for start in (0, adj.shape[0] - 1):
             seeds = np.arange(adj.shape[0]) == start
-            reached, hops = reachable(adj, seeds)
+            reached, hops = reachable(tails, heads, seeds)
             expected, expected_hops = plain_bfs(adj, seeds)
             assert reached.shape == seeds.shape and reached.dtype == bool
             np.testing.assert_array_equal(reached, expected)
             assert hops == expected_hops
 
     @pytest.mark.parametrize("k", [1, 63, 64, 65, "n"])
-    @pytest.mark.parametrize("graph", SUPPORTS)
+    @pytest.mark.parametrize("graph", GRAPHS)
     def test_many_seed_sets_across_words(self, graph, k):
-        adj = SUPPORTS[graph]
+        adj, tails, heads = GRAPHS[graph]
         n = adj.shape[0]
         k = n if k == "n" else k
         rng = np.random.default_rng(k)
         seeds = rng.random((k, n)) < 2.0 / n  # some rows empty, some with several seeds
         seeds[-1] = np.arange(n) == 3  # the highest bit in use: a search from node 3 alone
         for rows in (seeds, np.eye(n, dtype=bool)[rng.integers(0, n, size=k)]):
-            reached, hops = reachable(adj, rows)
+            reached, hops = reachable(tails, heads, rows)
             expected, expected_hops = plain_bfs(adj, rows)
             assert reached.shape == (k, n) and reached.dtype == bool
             np.testing.assert_array_equal(reached, expected)
@@ -343,4 +355,4 @@ class TestEdgePartition:
 def test_complete_graph_all_edges():
     net = complete(5)
     assert validate_network(net).ok
-    assert len(net.edge_list()) == 20
+    assert net.edges[0].size == 20

@@ -39,7 +39,7 @@ def _corpus():
     halves[:3, :3] = halves[3:, 3:] = True
     np.fill_diagonal(halves, False)
     nets.append(("two-components", on_support(halves)))
-    sink = random_network(rng, 9).support
+    sink = random_network(rng, 9).p > 0.0
     sink[:, 4] = False  # nothing reaches node 4
     nets.append(("unreachable-node", on_support(sink)))
     for n, prob in ((4, 0.3), (8, 0.15), (15, 0.1), (25, 0.06), (40, 0.04)):
@@ -57,10 +57,15 @@ IDS = [label for label, _ in CORPUS]
 NETWORKS = [net for _, net in CORPUS]
 
 
+def edge_pairs(net):
+    """The network's directed edges as (tail, head) pairs of ints, in row-major order."""
+    return list(zip(*(ends.tolist() for ends in net.edges)))
+
+
 def digraph(net):
     g = nx.DiGraph()
     g.add_nodes_from(range(net.n))
-    g.add_edges_from(net.edge_list())
+    g.add_edges_from(edge_pairs(net))
     return g
 
 
@@ -87,7 +92,7 @@ def test_edge_partition(net):
     bridges = {frozenset(e) for e in nx.bridges(g)}
     connected = nx.is_connected(g)
     everyone = frozenset(range(net.n))
-    for i, j in net.edge_list():
+    for i, j in edge_pairs(net):
         part = edge_partition(net, i, j)
         g.remove_edge(i, j)
         side_i = frozenset(nx.node_connected_component(g, i))

@@ -85,13 +85,14 @@ class TestPerformance:
 
 class TestContractionConstants:
     def test_influencer_pair(self, influencer_pair):
-        psi1, rho = theorem3_constants(influencer_pair)
+        psi1, rho = theorem3_constants(influencer_pair, build_mean_matrices(influencer_pair).K)
         assert psi1 == pytest.approx(0.5)
         assert rho == pytest.approx(0.0)
 
     def test_path3_enumeration(self):
         # four directed edges, all with symmetrized weight 1/4; d = 2
-        psi1, rho = theorem3_constants(path(3))
+        net = path(3)
+        psi1, rho = theorem3_constants(net, build_mean_matrices(net).K)
         assert psi1 == pytest.approx(0.25)
         assert rho == pytest.approx(math.sqrt(13.0) / 4.0)
 
@@ -100,8 +101,8 @@ class TestContractionConstants:
         z = np.where(base.p > 0, 0.4, 0.0)
         y = np.asarray(base.y) * 0.6
         slowed = AcquaintanceNetwork(n=3, delta=0.5, p=base.p, x=base.x, y=y, z=z, w0=base.w0)
-        psi_base, _ = theorem3_constants(base)
-        psi_slow, _ = theorem3_constants(slowed)
+        psi_base, _ = theorem3_constants(base, build_mean_matrices(base).K)
+        psi_slow, _ = theorem3_constants(slowed, build_mean_matrices(slowed).K)
         assert psi_slow < psi_base
 
     def test_rho_inapplicable_and_zero(self):
@@ -112,13 +113,13 @@ class TestContractionConstants:
     def test_valid_networks_always_contract(self, rng):
         for _ in range(20):
             net = random_network(rng, int(rng.integers(3, 13)))
-            _, rho = theorem3_constants(net)
+            _, rho = theorem3_constants(net, build_mean_matrices(net).K)
             assert rho is not None and 0.0 <= rho < 1.0
 
 
 class TestBounds:
     def test_influencer_pair_values(self, influencer_pair):
-        _, rho = theorem3_constants(influencer_pair)
+        _, rho = theorem3_constants(influencer_pair, build_mean_matrices(influencer_pair).K)
         b = bound_linf(influencer_pair, rho)
         assert b == pytest.approx(0.25)
         assert bound_expectation(b, influencer_pair.w0) == pytest.approx(0.25)
@@ -127,7 +128,7 @@ class TestBounds:
 
     def test_no_influence_bound_zero(self, rng):
         net = without_influence(random_network(rng, 6))
-        _, rho = theorem3_constants(net)
+        _, rho = theorem3_constants(net, build_mean_matrices(net).K)
         assert bound_linf(net, rho) == 0.0
 
     def test_inapplicable_rho(self, influencer_pair):
@@ -136,7 +137,7 @@ class TestBounds:
         assert bound_l2(influencer_pair, 1.0) is None
 
     def test_zero_initial_vector(self, influencer_pair):
-        _, rho = theorem3_constants(influencer_pair)
+        _, rho = theorem3_constants(influencer_pair, build_mean_matrices(influencer_pair).K)
         b = bound_linf(influencer_pair, rho)
         assert bound_expectation(b, np.zeros(2)) == 0.0
 
@@ -146,7 +147,7 @@ class TestBounds:
             mm = build_mean_matrices(net)
             pi = stationary_distribution(mm)
             dev = pi - 1.0 / net.n
-            _, rho = theorem3_constants(net)
+            _, rho = theorem3_constants(net, mm.K)
             lam2, _ = lambda2_gap(mm.K)
             b_inf = bound_linf(net, rho)
             b_l2 = bound_l2(net, lam2)
@@ -159,8 +160,8 @@ class TestBounds:
         # shifting mass from averaging to influence keeps K (and rho) fixed
         lo = barbell(3, influence=0.2)
         hi = barbell(3, influence=0.6)
-        psi1_lo, rho_lo = theorem3_constants(lo)
-        psi1_hi, rho_hi = theorem3_constants(hi)
+        psi1_lo, rho_lo = theorem3_constants(lo, build_mean_matrices(lo).K)
+        psi1_hi, rho_hi = theorem3_constants(hi, build_mean_matrices(hi).K)
         assert psi1_lo == psi1_hi and rho_lo == rho_hi
         assert bound_linf(hi, rho_hi) > bound_linf(lo, rho_lo)
 
