@@ -11,6 +11,7 @@ arguments), 3 no replica converged, 4 partial analysis failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -116,6 +117,23 @@ def _write(path: str, what: str, write) -> bool:
     return True
 
 
+def _writable(path: str, what: str) -> bool:
+    """Whether ``path`` can be created: its directory exists and it is not a directory; says why not on stderr.
+
+    Checked before the analysis, so a bad output path fails at once; errors
+    that show only when the file is written are left to ``_write``.
+    """
+    target = Path(path)
+    if target.is_dir():
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    elif not target.parent.is_dir():
+        error = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    else:
+        return True
+    print(f"cannot write {what}: {error}", file=sys.stderr)
+    return False
+
+
 def _write_trace(net, args) -> bool:
     """Re-run replica 0 of the ensemble with recording and write its trace CSV; False if unwritable."""
     trace = run_replica(net, max_slots=args.max_slots, tol=args.tol, seed=replica_seed(args.seed, 0))
@@ -175,6 +193,8 @@ def cmd_simulate(args) -> int:
     net, code = _load_valid(args.network)
     if net is None:
         return code
+    if args.trace and not _writable(args.trace, "trace"):
+        return EXIT_PARSE
 
     ens = simulate_ensemble(net, replicas=args.replicas, max_slots=args.max_slots, tol=args.tol, seed=args.seed)
     print(f"replicas: {ens.replicas}")
@@ -196,16 +216,19 @@ def cmd_analyze(args) -> int:
     net, code = _load_valid(args.network)
     if net is None:
         return code
+    what = "report" if args.format == "json" else "impact table"
+    if (args.out and not _writable(args.out, what)) or (args.trace and not _writable(args.trace, "trace")):
+        return EXIT_PARSE
 
     payload, ok, impact_report = analyze(net, RunConfig(**vars(args)))
 
     if args.format == "json":
-        written = _emit(args.out, render_json(payload), "report")
+        written = _emit(args.out, render_json(payload), what)
     elif impact_report is None:
         print("impact analysis failed; no CSV to write", file=sys.stderr)
         written = True
     else:
-        written = _emit(args.out, render_impact_csv(impact_report), "impact table")
+        written = _emit(args.out, render_impact_csv(impact_report), what)
     if not written or (args.trace and not _write_trace(net, args)):
         return EXIT_PARSE
 

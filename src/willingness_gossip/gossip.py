@@ -268,13 +268,14 @@ def simulate_ensemble(
 
 
 def write_trace_csv(path: str, trace: SimulationTrace) -> None:
-    """Trace export: one row per recorded slot, columns slot,node_*,spread."""
+    """Trace export: one row per recorded slot, columns slot,node_*,spread.
+
+    Values are written as ``repr`` of Python floats, which round-trip
+    exactly; ``tolist`` converts each array once instead of value by value.
+    """
     n = trace.snapshots.shape[1]
-    header = "slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread"
+    lines = ["slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread"]
+    for slot, row, spread in zip(trace.slots.tolist(), trace.snapshots.tolist(), trace.spread.tolist()):
+        lines.append(f"{slot},{','.join(map(repr, row))},{spread!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in range(trace.slots.shape[0]):
-            cells = [str(int(trace.slots[row]))]
-            cells.extend(repr(float(v)) for v in trace.snapshots[row])
-            cells.append(repr(float(trace.spread[row])))
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")

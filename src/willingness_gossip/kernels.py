@@ -8,13 +8,18 @@ probabilities with +inf to one power-of-two width, so each partner is
 found by the same log2(width) steps of a fixed-step search (Khuong &
 Morin, ACM JEA 2017), run over all rows at once without a data-dependent
 loop.  It drops the persistent meetings, which change nothing, and applies
-the rest in one scalar loop per replica over its willingness list, which
-Python indexes several times faster than a numpy array element by element.
-The loop tracks the running max and min instead of rescanning all n values
-every slot; the spread, its monotonicity and the tol test are evaluated
-only when a rescan moved an extreme.  Recording splits the chunk at the
-recorded slots instead of testing every slot.  The caller sizes each chunk
-to the slots a replica may still spend, so the kernel knows no budget.
+the rest to each replica's willingness list, which Python indexes several
+times faster than a numpy array element by element.  Finding the slot
+where the spread reaches tol is the only reason to track the max and min,
+and every meeting leaves both endpoints inside the old pair interval, so
+the spread never grows.  The loop therefore applies blocks of at least 4n
+meetings without tracking anything and takes the spread once per block;
+only a block that ends at or below tol (or whose check fails on a NaN or
+an overflow) is replayed from a saved copy by the exact loop, which tracks
+the running max and min and rescans one only when an updated node held
+it.  Recording splits the chunk at the recorded slots instead of testing
+every slot.  The caller sizes each chunk to the slots a replica may still
+spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -32,6 +37,10 @@ import numpy as np
 
 # perfbench reads this flag for its environment block.
 NUMBA_ENABLED = False
+
+# The slot loop applies a replica's meetings in blocks of at least this
+# many, and of at least 4n, and checks the spread once per block.
+_BLOCK_MEETINGS = 128
 
 
 def backend() -> str:
@@ -135,12 +144,14 @@ def conductance_scan(K: np.ndarray) -> float:
 def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
     """Apply meetings (code, i, j) to the list ``w`` until its spread reaches tol.
 
-    ``code`` is the slot the meeting completes, negated for an influence
-    meeting.  ``mx`` and ``mn`` are the max and min of ``w``.  Both
-    endpoints' new values lie inside the old pair interval, so the max can
-    only change when an updated node held it, and likewise the min; only
-    then (or when a comparison fails on a NaN) is that side rescanned, and
-    only then can the spread move.  Returns (the slot where the spread
+    The exact loop: ``_segment`` runs it on a block whose blind pass must
+    be replayed, and on every meeting of a replica whose values are not
+    all finite.  ``code`` is the slot the meeting completes, negated for an
+    influence meeting.  ``mx`` and ``mn`` are the max and min of ``w``.
+    Both endpoints' new values lie inside the old pair interval, so the max
+    can only change when an updated node held it, and likewise the min;
+    only then (or when a comparison fails on a NaN) is that side rescanned,
+    and only then can the spread move.  Returns (the slot where the spread
     reached tol, or 0; mx; mn; spread; monotone).
     """
     keep = 1.0 - delta
@@ -205,6 +216,64 @@ def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
     return 0, mx, mn, spread, monotone
 
 
+def _mix(w, meetings, delta):
+    """Apply meetings (code, i, j) to the list ``w`` with ``_apply``'s arithmetic, tracking nothing."""
+    keep = 1.0 - delta
+    for code, a, b in meetings:
+        wa = w[a]
+        wb = w[b]
+        if code > 0:
+            w[a] = w[b] = 0.5 * (wa + wb)
+            continue
+        v = delta * wa + keep * wb
+        if wa < wb:
+            if v < wa:
+                v = wa
+            elif v > wb:
+                v = wb
+        elif v < wb:
+            v = wb
+        elif v > wa:
+            v = wa
+        w[a] = v
+
+
+def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, mx, mn, spread, monotone):
+    """Apply the meetings in rows lo:hi of the lists to ``w``; returns ``_apply``'s five values and ``block``.
+
+    Each run of ``block`` meetings goes through ``_mix``, and the spread is
+    taken once, at its end.  Every meeting leaves both endpoints inside the
+    old pair interval, so with finite values the spread never grows, a
+    spread above tol at the block's end was above tol at every slot of it,
+    and the max and min there are those ``_apply`` would hold.  A block is
+    kept when its spread is above tol and no greater than before.
+    Otherwise (it reached tol, or it grew or is NaN, which takes an
+    overflow) ``w`` is restored and ``_apply`` replays the block from the
+    previous block's mx, mn and spread, so the stop slot, the spread and
+    ``monotone`` are exact.  A replay that does not stop leaves values that
+    are not all finite; it sets ``block`` to 0, which sends every further
+    meeting to ``_apply``.
+    """
+    while block and lo < hi:
+        end = min(lo + block, hi)
+        saved = w.copy()
+        _mix(w, zip(codes[lo:end], i_all[lo:end], j_all[lo:end]), delta)
+        top = max(w)
+        bottom = min(w)
+        if tol < top - bottom <= spread:
+            mx, mn, spread = top, bottom, top - bottom
+        else:
+            w[:] = saved
+            meetings = zip(codes[lo:end], i_all[lo:end], j_all[lo:end])
+            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+            if stop:
+                return stop, mx, mn, spread, monotone, block
+            block = 0
+        lo = end
+    meetings = zip(codes[lo:hi], i_all[lo:hi], j_all[lo:hi])
+    return (*_apply(w, meetings, delta, tol, mx, mn, spread, monotone), block)
+
+
 def gossip_chunk(
     ws, table, partner, width, x, y, delta, tol, uniforms, slot, spreads, record_every, records
 ):
@@ -219,9 +288,15 @@ def gossip_chunk(
     initiator toward the partner with retention delta, clamped into the
     pre-meeting pair interval so the spread is exactly non-increasing in
     floating point.  Persistent meetings change nothing, so only the others
-    reach the scalar loop (``_apply``), each with the slot it completes.
+    reach the slot loop (``_segment``), each with the slot it completes.
 
-    A replica stops at the slot where its spread drops to tol.  With
+    A replica stops at the slot where its spread drops to tol.  The loop
+    applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and
+    checks the spread at each block's end; the block where it reaches tol
+    is replayed by the exact loop (``_apply``), so the stop slot, the
+    spread and ``monotone`` are those of a slot-by-slot check.  A replica
+    whose values hold a NaN or an infinity on entry, or whose spread is not
+    their max minus their min, runs every meeting through ``_apply``.  With
     ``record_every`` > 0, replica q appends ``(slot, spread, w.copy())`` to
     ``records[q]`` at every slot that is a multiple of it: the loop runs
     from one such slot to the next and never tests for them.  Returns one
@@ -241,6 +316,7 @@ def gossip_chunk(
     # row offsets where each replica's segments end: one per recorded slot, then the chunk's end
     ends = np.arange(group)[:, None] * count + np.array([m - slot for m in marks] + [count])
     cuts = np.searchsorted(rows, ends).tolist()
+    block = max(_BLOCK_MEETINGS, 4 * x.shape[0])
     out = []
     lo = 0
     for q, w in enumerate(ws):
@@ -250,17 +326,17 @@ def gossip_chunk(
             mx = mn = float("nan")
         spread = spreads[q]
         monotone = True
-        for mark, cut in zip(marks, cuts[q]):
-            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
-            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+        # a NaN or an infinity in w, or a spread other than mx - mn: replay every meeting
+        blind = block if mx - mn == spread < np.inf else 0
+        for mark, cut in zip(marks + [0], cuts[q]):
+            stop, mx, mn, spread, monotone, blind = _segment(
+                w, codes, i_all, j_all, lo, cut, blind, delta, tol, mx, mn, spread, monotone
+            )
             if stop:
                 break
-            records[q].append((mark, spread, w.copy()))
+            if mark:
+                records[q].append((mark, spread, w.copy()))
             lo = cut
-        else:
-            cut = cuts[q][-1]
-            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
-            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
         if stop and record_every and stop % record_every == 0:
             records[q].append((stop, spread, w.copy()))
         out.append((stop or end, spread, monotone))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from willingness_gossip import report
+from willingness_gossip import cli, report
 from willingness_gossip.cli import main
 from willingness_gossip.errors import NetworkFormatError, NumericalError
 from willingness_gossip.fixtures import cycle, random_network, two_node_influencer
@@ -346,7 +346,12 @@ def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypa
     ],
     ids=["analyze-out", "analyze-csv-out", "analyze-trace", "simulate-trace"],
 )
-def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys, argv, what, target):
+def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys, monkeypatch, argv, what, target):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the path is checked before any work")
+
+    for name in ("analyze", "simulate_ensemble", "run_replica"):
+        monkeypatch.setattr(cli, name, not_called)
     path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
     rc = main([argv[0], "--network", influencer_pair_path, "--replicas", "2", *argv[1:], str(path)])
     err = capsys.readouterr().err

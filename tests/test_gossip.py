@@ -344,3 +344,20 @@ def test_trace_csv_layout(tmp_path, rng):
     first = lines[1].split(",")
     assert first[0] == "0"
     np.testing.assert_allclose([float(v) for v in first[1:-1]], net.w0)
+
+
+def test_trace_csv_bytes_equal_the_value_by_value_formula(tmp_path):
+    """Rows built from ``tolist`` floats are the bytes of ``repr(float(v))`` per numpy value, NaN and subnormals included."""
+    net = dataclasses.replace(barbell(2), w0=np.array([np.nan, 5e-324, -0.0, 1e-310]))
+    trace = run_replica(net, max_slots=40, record_every=7, seed=1)
+    tiny = np.finfo(np.float64).tiny
+    assert np.isnan(trace.snapshots).any() and ((trace.snapshots != 0.0) & (np.abs(trace.snapshots) < tiny)).any()
+    lines = ["slot,node_0,node_1,node_2,node_3,spread"]
+    for row in range(trace.slots.shape[0]):
+        cells = [str(int(trace.slots[row]))]
+        cells.extend(repr(float(v)) for v in trace.snapshots[row])
+        cells.append(repr(float(trace.spread[row])))
+        lines.append(",".join(cells))
+    out = tmp_path / "trace.csv"
+    write_trace_csv(str(out), trace)
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

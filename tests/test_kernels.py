@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from test_gossip import per_row_sampler
 
@@ -119,6 +120,142 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
     assert spread_out == prev
     assert monotone_out == monotone
     assert (prev <= 1e-9) == (slots_used < uniforms.shape[0])
+
+
+def exact_chunk(ws, table, partner, width, x, y, delta, tol, uniforms, slot, spreads, record_every, records):
+    """``kernels.gossip_chunk`` before its blind blocks: every meeting goes through ``kernels._apply``.
+
+    The oracle for the stop slot, the spread and ``monotone``, also where
+    the values hold a NaN or an infinity.
+    """
+    group = len(ws)
+    count = uniforms.shape[0] // group
+    i, j, kind = kernels.decode_meetings(table, partner, width, x, y, uniforms)
+    rows = np.flatnonzero(kind != kernels.KIND_PERSISTENT)
+    done = rows % count + (slot + 1)
+    codes = np.where(kind[rows] == kernels.KIND_REGULAR, done, -done).tolist()
+    i_all = i[rows].tolist()
+    j_all = j[rows].tolist()
+    end = slot + count
+    marks = list(range(slot - slot % record_every + record_every, end + 1, record_every)) if record_every else []
+    ends = np.arange(group)[:, None] * count + np.array([m - slot for m in marks] + [count])
+    cuts = np.searchsorted(rows, ends).tolist()
+    out = []
+    lo = 0
+    for q, w in enumerate(ws):
+        mx = max(w)
+        mn = min(w)
+        if any(v != v for v in w):
+            mx = mn = float("nan")
+        spread = spreads[q]
+        monotone = True
+        for mark, cut in zip(marks, cuts[q]):
+            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
+            stop, mx, mn, spread, monotone = kernels._apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+            if stop:
+                break
+            records[q].append((mark, spread, w.copy()))
+            lo = cut
+        else:
+            cut = cuts[q][-1]
+            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
+            stop, mx, mn, spread, monotone = kernels._apply(w, meetings, delta, tol, mx, mn, spread, monotone)
+        if stop and record_every and stop % record_every == 0:
+            records[q].append((stop, spread, w.copy()))
+        out.append((stop or end, spread, monotone))
+        lo = cuts[q][-1]
+    return out
+
+
+def fold(net, uniforms, tol, record_every):
+    """One replica from w0 at slot 0, slot by slot with ``apply_meeting``: (w, records, (slot, spread, monotone))."""
+    i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+    w = net.w0.copy()
+    spread = w.max() - w.min()
+    monotone = True
+    records = []
+    for t in range(uniforms.shape[0]):
+        w = apply_meeting(w, int(i[t]), int(j[t]), int(kind[t]), net.delta)
+        s = w.max() - w.min()
+        monotone = monotone and not s > spread
+        spread = s
+        if record_every and (t + 1) % record_every == 0:
+            records.append((t + 1, float(spread), w.tolist()))
+        if spread <= tol:
+            break
+    return w.tolist(), records, (t + 1, float(spread), monotone)
+
+
+def _no_persistent(net):
+    """``net`` with every meeting regular or influence: slot t is row t - 1, so blocks end at slots 128, 256, ..."""
+    return dataclasses.replace(net, y=np.where(net.p > 0.0, 1.0 - net.x, 0.0), z=np.zeros_like(net.z))
+
+
+def _with_w0(net, w0):
+    return dataclasses.replace(net, w0=np.asarray(w0, dtype=np.float64))
+
+
+def _spread_at(net, uniforms, slot):
+    """The spread after ``slot`` slots, folded with ``apply_meeting``: a tol that the replica reaches there."""
+    return fold(net, uniforms[:slot], 0.0, 0)[2][1]
+
+
+NET8 = _no_persistent(random_network(np.random.default_rng(3), 8))
+NET50 = random_network(np.random.default_rng(1), 50, extra_edge_prob=8 / 50)
+
+
+def _uniforms(seed, rows):
+    return np.random.default_rng(seed).random((rows, 3))
+
+
+# (network, uniforms, tol, group, record_every, slot each replica must stop at, or 0 for the chunk's end).
+# NET8 has blocks of 128 meetings, one per slot; the seeds put a drop of the spread where each case needs it.
+BLOCK_CASES = {
+    "cross-on-last-meeting-of-block-1": (NET8, _uniforms(1, 400), _spread_at(NET8, _uniforms(1, 400), 128), 1, 0, [128]),
+    "cross-on-first-meeting-of-block-2": (NET8, _uniforms(2, 400), _spread_at(NET8, _uniforms(2, 400), 129), 1, 0, [129]),
+    "cross-on-block-end-at-a-mark": (NET8, _uniforms(1, 400), _spread_at(NET8, _uniforms(1, 400), 128), 1, 8, [128]),
+    "mark-on-the-end-of-block-2": (NET8, _uniforms(2, 384), 1e-300, 1, 256, [0]),
+    "chunk-shorter-than-a-block": (NET8, _uniforms(2, 50), 1e-300, 1, 0, [0]),
+    "cross-in-a-chunk-shorter-than-a-block": (NET8, _uniforms(8, 100), 1e-4, 1, 0, [84]),
+    "group-crosses-in-block-1-and-in-block-2": (NET8, np.vstack([_uniforms(8, 300), _uniforms(10, 300)]), 1e-4, 2, 0, [84, 171]),
+    "nan-at-node-0": (_with_w0(NET8, [np.nan, *NET8.w0[1:]]), _uniforms(2, 600), 1e-4, 1, 0, [0]),
+    "nan-at-node-5-marks-n": (_with_w0(NET8, [*NET8.w0[:5], np.nan, *NET8.w0[6:]]), _uniforms(2, 600), 1e-4, 1, 8, [0]),
+    "overflow-grows-the-spread": (_with_w0(NET8, np.linspace(0.9, 1.7, 8) * 1e308), _uniforms(2, 600), 1e-4, 1, 0, [0]),
+    "random-n50-group-of-3": (NET50, _uniforms(5, 3 * 2000), 1e-3, 3, 0, None),
+    "random-n50-group-of-3-marks-n": (NET50, _uniforms(5, 3 * 2000), 1e-3, 3, 50, None),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocks_equal_the_exact_loop_and_the_fold(case):
+    """Blocks of many meetings give the exact loop's slot, spread, monotone and records, and the fold's values."""
+    net, uniforms, tol, group, record_every, stops = BLOCK_CASES[case]
+    count = uniforms.shape[0] // group
+    spread0 = float(net.w0.max() - net.w0.min())
+    results = []
+    for chunk in (kernels.gossip_chunk, exact_chunk):
+        ws = [net.w0.tolist() for _ in range(group)]
+        records = [[] for _ in range(group)]
+        out = chunk(
+            ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
+            uniforms, 0, [spread0] * group, record_every, records,
+        )
+        results.append(list(zip(ws, records, out)))
+    got, want = results
+    # repr compares floats exactly, NaN included
+    assert repr(got) == repr(want)
+    if stops is not None:
+        assert [out[0] for _, _, out in got] == [stop or count for stop in stops]
+    for q, (w, records, out) in enumerate(got):
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow case makes inf, then inf - inf
+            ref_w, ref_records, ref_out = fold(net, uniforms[q * count : (q + 1) * count], tol, record_every)
+        assert repr(w) == repr(ref_w)
+        assert out[0] == ref_out[0]
+        if np.isfinite(net.w0).all() and case != "overflow-grows-the-spread":
+            assert out == ref_out
+            assert records == ref_records
+    if case == "overflow-grows-the-spread":
+        assert not got[0][2][2]
 
 
 def test_chunk_stops_at_the_slot_where_spread_reaches_tol(regular_pair):

@@ -6,6 +6,7 @@ backend names; a refactor that drops one of them breaks the traced
 benchmark without failing any library test.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -64,7 +65,7 @@ def test_tracer_sees_every_layer(tracing, tmp_path):
 
 def test_traced_ensemble_counts_every_slot_it_draws(tracing):
     """The ensemble calls the kernel through its module, and the draw counter covers every slot used."""
-    from willingness_gossip import fixtures, report
+    from willingness_gossip import fixtures, kernels, report
 
     net = fixtures.bridged_clusters(3, 4, influence=0.5)
     tracer = tracing.Tracer()
@@ -74,3 +75,5 @@ def test_traced_ensemble_counts_every_slot_it_draws(tracing):
     assert tracer.totals()[0]["kernels.gossip_chunk"] > 0
     sim = payload["simulation"]
     assert tracer.counts["gossip.slots_drawn"] >= sim["mean_slots"] * sim["replicas"] > 0
+    # the draw counter reads the uniforms as the kernel's positional argument 8
+    assert list(inspect.signature(kernels.gossip_chunk).parameters).index("uniforms") == 8
