@@ -145,7 +145,7 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     ``records`` is None, or one list per replica for the kernel's records.
     Returns each replica's (willingness list, slots used, spread, monotone).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n = net.n
     sampler = build_sampler(net)

@@ -10,16 +10,17 @@ Morin, ACM JEA 2017), run over all rows at once without a data-dependent
 loop.  It drops the persistent meetings, which change nothing, and applies
 the rest to each replica's willingness list, which Python indexes several
 times faster than a numpy array element by element.  Finding the slot
-where the spread reaches tol is the only reason to track the max and min,
-and every meeting leaves both endpoints inside the old pair interval, so
-the spread never grows.  The loop therefore applies blocks of at least 4n
-meetings without tracking anything and takes the spread once per block;
-only a block that ends at or below tol (or whose check fails on a NaN or
-an overflow) is replayed from a saved copy by the exact loop, which tracks
-the running max and min and rescans one only when an updated node held
-it.  Recording splits the chunk at the recorded slots instead of testing
-every slot.  The caller sizes each chunk to the slots a replica may still
-spend, so the kernel knows no budget.
+where the spread reaches tol is the only reason to look at the values,
+and on finite values every meeting leaves both endpoints inside the old
+pair interval unless an average overflows, so the spread never grows.
+The loop therefore applies blocks of at least 4n meetings without
+tracking anything and takes the spread once per block; the block that
+ends at or below tol is bisected, one ``max(w) - min(w)`` per halving,
+down to the meeting that reaches it.  Values that are not finite, which
+validation refuses, go meeting by meeting.  Recording splits the chunk at
+the recorded slots instead of testing every slot.  The caller sizes each
+chunk to the slots a replica may still spend, so the kernel knows no
+budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -141,83 +142,15 @@ def conductance_scan(K: np.ndarray) -> float:
     return best
 
 
-def _apply(w, meetings, delta, tol, mx, mn, spread, monotone):
-    """Apply meetings (code, i, j) to the list ``w`` until its spread reaches tol.
-
-    The exact loop: ``_segment`` runs it on a block whose blind pass must
-    be replayed, and on every meeting of a replica whose values are not
-    all finite.  ``code`` is the slot the meeting completes, negated for an
-    influence meeting.  ``mx`` and ``mn`` are the max and min of ``w``.
-    Both endpoints' new values lie inside the old pair interval, so the max
-    can only change when an updated node held it, and likewise the min;
-    only then (or when a comparison fails on a NaN) is that side rescanned,
-    and only then can the spread move.  Returns (the slot where the spread
-    reached tol, or 0; mx; mn; spread; monotone).
-    """
-    keep = 1.0 - delta
-    for code, a, b in meetings:
-        wa = w[a]
-        wb = w[b]
-        if code > 0:
-            avg = 0.5 * (wa + wb)
-            w[a] = avg
-            w[b] = avg
-            if mn < wa < mx and mn < wb < mx:
-                continue
-            top = not (wa < mx and wb < mx)
-            bottom = not (mn < wa and mn < wb)
-        else:
-            v = delta * wa + keep * wb
-            # clamp into the pre-meeting pair interval
-            if wa < wb:
-                if v < wa:
-                    v = wa
-                elif v > wb:
-                    v = wb
-            elif v < wb:
-                v = wb
-            elif v > wa:
-                v = wa
-            w[a] = v
-            if mn < wa < mx:
-                continue
-            top = not wa < mx
-            bottom = not mn < wa
-        # A bytecode pass beats the max() and min() builtins here, for one side
-        # as for both (CPython 3.11, 50 values: one side 1.3 against 1.5 us).
-        if top and bottom:
-            mx = w[0]
-            mn = w[0]
-            for v in w:
-                if v > mx:
-                    mx = v
-                if v < mn:
-                    mn = v
-        elif top:
-            mx = w[0]
-            for v in w:
-                if v > mx:
-                    mx = v
-        else:
-            mn = w[0]
-            for v in w:
-                if v < mn:
-                    mn = v
-        s = mx - mn
-        if s > spread:
-            monotone = False
-        spread = s
-        if spread <= tol:
-            # a pass skips a NaN anywhere but in w[0]; a NaN never converges
-            if any(v != v for v in w):
-                mx = mn = spread = float("nan")
-                continue
-            return abs(code), mx, mn, spread, monotone
-    return 0, mx, mn, spread, monotone
-
-
 def _mix(w, meetings, delta):
-    """Apply meetings (code, i, j) to the list ``w`` with ``_apply``'s arithmetic, tracking nothing."""
+    """Apply meetings (code, i, j) to the list ``w``, tracking nothing.
+
+    ``code`` is the slot the meeting completes, negated for an influence
+    meeting.  This is the kernel's one copy of the update rule, with
+    ``gossip.apply_meeting``'s arithmetic: averaging sets both endpoints to
+    their mean, influence moves the initiator toward the partner with
+    retention delta, clamped into the pre-meeting pair interval.
+    """
     keep = 1.0 - delta
     for code, a, b in meetings:
         wa = w[a]
@@ -238,40 +171,57 @@ def _mix(w, meetings, delta):
         w[a] = v
 
 
-def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, mx, mn, spread, monotone):
-    """Apply the meetings in rows lo:hi of the lists to ``w``; returns ``_apply``'s five values and ``block``.
+def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, spread, monotone):
+    """Apply the meetings in rows lo:hi of the lists to ``w`` until its spread reaches tol.
 
-    Each run of ``block`` meetings goes through ``_mix``, and the spread is
-    taken once, at its end.  Every meeting leaves both endpoints inside the
-    old pair interval, so with finite values the spread never grows, a
-    spread above tol at the block's end was above tol at every slot of it,
-    and the max and min there are those ``_apply`` would hold.  A block is
-    kept when its spread is above tol and no greater than before.
-    Otherwise (it reached tol, or it grew or is NaN, which takes an
-    overflow) ``w`` is restored and ``_apply`` replays the block from the
-    previous block's mx, mn and spread, so the stop slot, the spread and
-    ``monotone`` are exact.  A replay that does not stop leaves values that
-    are not all finite; it sets ``block`` to 0, which sends every further
-    meeting to ``_apply``.
+    Returns (the slot where the spread reached tol, or 0; spread; monotone).
+    While ``spread`` is finite, so is every value, and each run of
+    ``block`` meetings goes through ``_mix`` with the spread taken once, at
+    its end.  A meeting of finite values leaves both endpoints inside the
+    old pair interval unless an average overflows to inf, and a value that
+    is not finite never becomes finite again; with 0 < delta < 1 an inf
+    stays visible to ``max`` and ``min``.  So "spread <= tol" holds from
+    one meeting of a block on, and a block that ends at or below tol was
+    finite all the way through it.  A block is kept when its spread is
+    above tol and no greater than before.  One that reached tol is
+    restored and bisected: its first half is applied and kept while the
+    spread stays above tol, restored otherwise, down to the one meeting
+    that reaches tol.  A block whose spread grew or is NaN (it took an
+    overflow) is restored and applied meeting by meeting, as is every
+    meeting once the spread is not finite, each slot taking the spread as
+    numpy does: NaN when any value is NaN.
     """
-    while block and lo < hi:
+    while lo < hi:
         end = min(lo + block, hi)
-        saved = w.copy()
-        _mix(w, zip(codes[lo:end], i_all[lo:end], j_all[lo:end]), delta)
-        top = max(w)
-        bottom = min(w)
-        if tol < top - bottom <= spread:
-            mx, mn, spread = top, bottom, top - bottom
-        else:
+        if spread < np.inf:
+            saved = w.copy()
+            _mix(w, zip(codes[lo:end], i_all[lo:end], j_all[lo:end]), delta)
+            s = max(w) - min(w)
+            if tol < s <= spread:
+                spread = s
+                lo = end
+                continue
             w[:] = saved
-            meetings = zip(codes[lo:end], i_all[lo:end], j_all[lo:end])
-            stop, mx, mn, spread, monotone = _apply(w, meetings, delta, tol, mx, mn, spread, monotone)
-            if stop:
-                return stop, mx, mn, spread, monotone, block
-            block = 0
+            if s <= tol:
+                while end - lo > 1:
+                    mid = (lo + end) // 2
+                    saved = w.copy()
+                    _mix(w, zip(codes[lo:mid], i_all[lo:mid], j_all[lo:mid]), delta)
+                    if max(w) - min(w) > tol:
+                        lo = mid
+                    else:
+                        w[:] = saved
+                        end = mid
+        for k in range(lo, end):
+            _mix(w, ((codes[k], i_all[k], j_all[k]),), delta)
+            s = float("nan") if any(v != v for v in w) else max(w) - min(w)
+            if s > spread:
+                monotone = False
+            spread = s
+            if spread <= tol:
+                return abs(codes[k]), spread, monotone
         lo = end
-    meetings = zip(codes[lo:hi], i_all[lo:hi], j_all[lo:hi])
-    return (*_apply(w, meetings, delta, tol, mx, mn, spread, monotone), block)
+    return 0, spread, monotone
 
 
 def gossip_chunk(
@@ -280,28 +230,29 @@ def gossip_chunk(
     """Advance a group of replicas, all standing at ``slot``, by one chunk of slots each.
 
     ``ws`` holds each replica's willingness list, updated in place, and
-    ``spreads`` their spreads on entry, all above tol.  ``uniforms`` holds
-    ``count`` rows per replica, one per slot, replica q's in the q-th block
-    of ``count`` rows; one ``decode_meetings`` call decodes the whole group
-    from the padded meeting table ``(table, partner, width)``.
-    Averaging sets both endpoints to their mean; influence moves the
-    initiator toward the partner with retention delta, clamped into the
-    pre-meeting pair interval so the spread is exactly non-increasing in
-    floating point.  Persistent meetings change nothing, so only the others
-    reach the slot loop (``_segment``), each with the slot it completes.
+    ``spreads`` their spreads on entry as numpy takes them (NaN when a
+    value is NaN), all above tol.  ``uniforms`` holds ``count`` rows per
+    replica, one per slot, replica q's in the q-th block of ``count`` rows;
+    one ``decode_meetings`` call decodes the whole group from the padded
+    meeting table ``(table, partner, width)``.  Averaging sets both
+    endpoints to their mean; influence moves the initiator toward the
+    partner with retention delta, clamped into the pre-meeting pair
+    interval so the spread is exactly non-increasing in floating point
+    unless an average overflows.  Persistent meetings change nothing, so
+    only the others reach the slot loop (``_segment``), each with the slot
+    it completes.
 
     A replica stops at the slot where its spread drops to tol.  The loop
-    applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and
-    checks the spread at each block's end; the block where it reaches tol
-    is replayed by the exact loop (``_apply``), so the stop slot, the
+    applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and takes
+    the spread at each block's end; the block where it reaches tol is
+    bisected down to the meeting that reaches it, so the stop slot, the
     spread and ``monotone`` are those of a slot-by-slot check.  A replica
-    whose values hold a NaN or an infinity on entry, or whose spread is not
-    their max minus their min, runs every meeting through ``_apply``.  With
-    ``record_every`` > 0, replica q appends ``(slot, spread, w.copy())`` to
-    ``records[q]`` at every slot that is a multiple of it: the loop runs
-    from one such slot to the next and never tests for them.  Returns one
-    (slot, spread, monotone) per replica, where monotone is false if the
-    spread ever grew.
+    whose spread is not finite (its values hold a NaN or an infinity) runs
+    meeting by meeting (``_segment``).  With ``record_every`` > 0, replica
+    q appends ``(slot, spread, w.copy())`` to ``records[q]`` at every slot
+    that is a multiple of it: the loop runs from one such slot to the next
+    and never tests for them.  Returns one (slot, spread, monotone) per
+    replica, where monotone is false if the spread ever grew.
     """
     group = len(ws)
     count = uniforms.shape[0] // group
@@ -320,18 +271,10 @@ def gossip_chunk(
     out = []
     lo = 0
     for q, w in enumerate(ws):
-        mx = max(w)
-        mn = min(w)
-        if any(v != v for v in w):  # like numpy's max and min, a NaN anywhere makes both NaN
-            mx = mn = float("nan")
         spread = spreads[q]
         monotone = True
-        # a NaN or an infinity in w, or a spread other than mx - mn: replay every meeting
-        blind = block if mx - mn == spread < np.inf else 0
         for mark, cut in zip(marks + [0], cuts[q]):
-            stop, mx, mn, spread, monotone, blind = _segment(
-                w, codes, i_all, j_all, lo, cut, blind, delta, tol, mx, mn, spread, monotone
-            )
+            stop, spread, monotone = _segment(w, codes, i_all, j_all, lo, cut, block, delta, tol, spread, monotone)
             if stop:
                 break
             if mark:

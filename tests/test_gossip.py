@@ -222,8 +222,19 @@ class TestRunReplica:
         np.testing.assert_array_equal(trace.slots, [0, 1])
 
     def test_tol_must_be_positive(self, regular_pair):
-        with pytest.raises(ValueError):
-            run_replica(regular_pair, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                run_replica(regular_pair, tol=tol)
+
+    def test_recorded_spread_follows_an_averaging_overflow(self):
+        """Two values above DBL_MAX/2 average to inf: the spread is inf from that slot on."""
+        net = complete(4, w0=[1.7e308, 1.6e308, 1.6e308, 0.0])
+        with np.errstate(all="ignore"):
+            trace = run_replica(net, max_slots=50, record_every=1, seed=4)
+            want = trace.snapshots.max(1) - trace.snapshots.min(1)
+        assert trace.slots[2] == 2 and trace.spread[2] == np.inf
+        assert not trace.monotone
+        assert repr(trace.spread.tolist()) == repr(want.tolist())
 
 
 class TestEnsemble:

@@ -122,51 +122,6 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
     assert (prev <= 1e-9) == (slots_used < uniforms.shape[0])
 
 
-def exact_chunk(ws, table, partner, width, x, y, delta, tol, uniforms, slot, spreads, record_every, records):
-    """``kernels.gossip_chunk`` before its blind blocks: every meeting goes through ``kernels._apply``.
-
-    The oracle for the stop slot, the spread and ``monotone``, also where
-    the values hold a NaN or an infinity.
-    """
-    group = len(ws)
-    count = uniforms.shape[0] // group
-    i, j, kind = kernels.decode_meetings(table, partner, width, x, y, uniforms)
-    rows = np.flatnonzero(kind != kernels.KIND_PERSISTENT)
-    done = rows % count + (slot + 1)
-    codes = np.where(kind[rows] == kernels.KIND_REGULAR, done, -done).tolist()
-    i_all = i[rows].tolist()
-    j_all = j[rows].tolist()
-    end = slot + count
-    marks = list(range(slot - slot % record_every + record_every, end + 1, record_every)) if record_every else []
-    ends = np.arange(group)[:, None] * count + np.array([m - slot for m in marks] + [count])
-    cuts = np.searchsorted(rows, ends).tolist()
-    out = []
-    lo = 0
-    for q, w in enumerate(ws):
-        mx = max(w)
-        mn = min(w)
-        if any(v != v for v in w):
-            mx = mn = float("nan")
-        spread = spreads[q]
-        monotone = True
-        for mark, cut in zip(marks, cuts[q]):
-            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
-            stop, mx, mn, spread, monotone = kernels._apply(w, meetings, delta, tol, mx, mn, spread, monotone)
-            if stop:
-                break
-            records[q].append((mark, spread, w.copy()))
-            lo = cut
-        else:
-            cut = cuts[q][-1]
-            meetings = zip(codes[lo:cut], i_all[lo:cut], j_all[lo:cut])
-            stop, mx, mn, spread, monotone = kernels._apply(w, meetings, delta, tol, mx, mn, spread, monotone)
-        if stop and record_every and stop % record_every == 0:
-            records[q].append((stop, spread, w.copy()))
-        out.append((stop or end, spread, monotone))
-        lo = cuts[q][-1]
-    return out
-
-
 def fold(net, uniforms, tol, record_every):
     """One replica from w0 at slot 0, slot by slot with ``apply_meeting``: (w, records, (slot, spread, monotone))."""
     i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
@@ -210,10 +165,15 @@ def _uniforms(seed, rows):
 
 # (network, uniforms, tol, group, record_every, slot each replica must stop at, or 0 for the chunk's end).
 # NET8 has blocks of 128 meetings, one per slot; the seeds put a drop of the spread where each case needs it.
+# The bisection of block 2 (slots 129..256) first takes the spread at slot 192.
 BLOCK_CASES = {
     "cross-on-last-meeting-of-block-1": (NET8, _uniforms(1, 400), _spread_at(NET8, _uniforms(1, 400), 128), 1, 0, [128]),
     "cross-on-first-meeting-of-block-2": (NET8, _uniforms(2, 400), _spread_at(NET8, _uniforms(2, 400), 129), 1, 0, [129]),
     "cross-on-block-end-at-a-mark": (NET8, _uniforms(1, 400), _spread_at(NET8, _uniforms(1, 400), 128), 1, 8, [128]),
+    "cross-on-slot-1": (NET8, _uniforms(15, 400), _spread_at(NET8, _uniforms(15, 400), 1), 1, 0, [1]),
+    "cross-on-slot-191": (NET8, _uniforms(13, 400), _spread_at(NET8, _uniforms(13, 400), 191), 1, 0, [191]),
+    "cross-on-slot-192-a-midpoint-of-block-2": (NET8, _uniforms(16, 400), _spread_at(NET8, _uniforms(16, 400), 192), 1, 0, [192]),
+    "cross-on-slot-193": (NET8, _uniforms(31, 400), _spread_at(NET8, _uniforms(31, 400), 193), 1, 0, [193]),
     "mark-on-the-end-of-block-2": (NET8, _uniforms(2, 384), 1e-300, 1, 256, [0]),
     "chunk-shorter-than-a-block": (NET8, _uniforms(2, 50), 1e-300, 1, 0, [0]),
     "cross-in-a-chunk-shorter-than-a-block": (NET8, _uniforms(8, 100), 1e-4, 1, 0, [84]),
@@ -228,34 +188,25 @@ BLOCK_CASES = {
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocks_equal_the_exact_loop_and_the_fold(case):
-    """Blocks of many meetings give the exact loop's slot, spread, monotone and records, and the fold's values."""
+    """A chunk of blind blocks ends with the fold's stop slot, spread, monotone, values and records."""
     net, uniforms, tol, group, record_every, stops = BLOCK_CASES[case]
     count = uniforms.shape[0] // group
     spread0 = float(net.w0.max() - net.w0.min())
-    results = []
-    for chunk in (kernels.gossip_chunk, exact_chunk):
-        ws = [net.w0.tolist() for _ in range(group)]
-        records = [[] for _ in range(group)]
-        out = chunk(
-            ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
-            uniforms, 0, [spread0] * group, record_every, records,
-        )
-        results.append(list(zip(ws, records, out)))
-    got, want = results
-    # repr compares floats exactly, NaN included
-    assert repr(got) == repr(want)
+    ws = [net.w0.tolist() for _ in range(group)]
+    records = [[] for _ in range(group)]
+    out = kernels.gossip_chunk(
+        ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
+        uniforms, 0, [spread0] * group, record_every, records,
+    )
     if stops is not None:
-        assert [out[0] for _, _, out in got] == [stop or count for stop in stops]
-    for q, (w, records, out) in enumerate(got):
+        assert [slot for slot, _, _ in out] == [stop or count for stop in stops]
+    for q in range(group):
         with np.errstate(over="ignore", invalid="ignore"):  # the overflow case makes inf, then inf - inf
-            ref_w, ref_records, ref_out = fold(net, uniforms[q * count : (q + 1) * count], tol, record_every)
-        assert repr(w) == repr(ref_w)
-        assert out[0] == ref_out[0]
-        if np.isfinite(net.w0).all() and case != "overflow-grows-the-spread":
-            assert out == ref_out
-            assert records == ref_records
+            ref = fold(net, uniforms[q * count : (q + 1) * count], tol, record_every)
+        # repr compares floats exactly, NaN included
+        assert repr((ws[q], records[q], out[q])) == repr(ref)
     if case == "overflow-grows-the-spread":
-        assert not got[0][2][2]
+        assert not out[0][2]
 
 
 def test_chunk_stops_at_the_slot_where_spread_reaches_tol(regular_pair):
