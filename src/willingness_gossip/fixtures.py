@@ -13,20 +13,25 @@ INFLUENCE_PROB = 0.65
 MAX_PERSISTENT = 0.5
 
 
-def _averaging(support: np.ndarray, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
-    """Averaging-only network on ``support``, meetings uniform over each node's out-neighbors.
+def _averaging(n: int, tails, heads, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
+    """Averaging-only network on the directed edges tails -> heads, in any order; repeats and self-loops are dropped.
 
-    ``w0`` defaults to ``linspace(0, 1, n)``.
+    Meetings are uniform over each node's out-neighbors; ``w0`` defaults to
+    ``linspace(0, 1, n)``.
     """
-    n = len(support)
-    y = support.astype(np.float64)
-    sums = y.sum(axis=1)
-    if np.any(sums == 0):
+    keys = np.sort(np.asarray(tails) * n + heads)  # not np.unique, which imports numpy.ma (about 1.7 MiB)
+    keys = keys[(np.diff(keys, prepend=-1) > 0) & (keys % (n + 1) != 0)]  # drop repeats and each self-loop (i, i)
+    tails, heads = np.divmod(keys, n)
+    degree = np.bincount(tails, minlength=n)
+    if not degree.all():
         raise ValueError("every node needs at least one out-neighbor")
     if w0 is None:
         w0 = np.linspace(0.0, 1.0, n)
-    p, x, z = y / sums[:, None], np.zeros_like(y), np.zeros_like(y)
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    zeros = np.zeros(len(tails))
+    return AcquaintanceNetwork(
+        n=n, delta=delta, w0=np.asarray(w0, dtype=float), tails=tails, heads=heads,
+        p=1.0 / degree[tails], x=zeros, y=np.ones(len(tails)), z=zeros,
+    )
 
 
 def two_node_regular(w0=(0.0, 1.0), delta: float = 0.5) -> AcquaintanceNetwork:
@@ -40,29 +45,27 @@ def two_node_influencer(w0=(0.0, 1.0), delta: float = 0.5) -> AcquaintanceNetwor
     Meetings initiated by node 0 are always influence meetings (node 1 is
     the influencer); meetings initiated by node 1 are always averaging.
     """
-    p = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = np.array([[0.0, 1.0], [0.0, 0.0]])
-    y = np.array([[0.0, 0.0], [1.0, 0.0]])
-    z = np.zeros((2, 2))
-    return AcquaintanceNetwork(n=2, delta=delta, p=p, x=x, y=y, z=z, w0=np.asarray(w0, dtype=float))
+    return AcquaintanceNetwork(
+        n=2, delta=delta, w0=np.asarray(w0, dtype=float), tails=[0, 1], heads=[1, 0],
+        p=[1.0, 1.0], x=[1.0, 0.0], y=[0.0, 1.0], z=[0.0, 0.0],
+    )
 
 
 def cycle(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Bidirectional ring with uniform meeting probabilities, averaging only."""
-    eye = np.eye(n, dtype=bool)
-    support = np.roll(eye, 1, axis=1) | np.roll(eye, -1, axis=1)
-    np.fill_diagonal(support, False)
-    return _averaging(support, w0, delta)
+    i = np.arange(n)
+    return _averaging(n, np.tile(i, 2), np.concatenate(((i + 1) % n, (i - 1) % n)), w0, delta)
 
 
 def path(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Bidirectional path graph, averaging only."""
-    return _averaging(np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool), w0, delta)
+    i = np.arange(n - 1)
+    return _averaging(n, np.concatenate((i, i + 1)), np.concatenate((i + 1, i)), w0, delta)
 
 
 def complete(n: int, w0=None, delta: float = 0.5) -> AcquaintanceNetwork:
     """Complete graph with uniform meeting probabilities, averaging only."""
-    return _averaging(~np.eye(n, dtype=bool), w0, delta)
+    return _averaging(n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n), w0, delta)
 
 
 def bridged_clusters(
@@ -82,18 +85,15 @@ def bridged_clusters(
     edge in the network.
     """
     n = size_i + size_j
-    side = np.arange(n) >= size_i
-    support = (side[:, None] == side[None, :]) & ~np.eye(n, dtype=bool)
+    tails, heads = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    same = (tails >= size_i) == (heads >= size_i)
     tail, head = size_i - 1, size_i
-    support[tail, head] = True
-    support[head, tail] = True
-
-    net = _averaging(support, w0, delta)
+    net = _averaging(n, np.append(tails[same], [tail, head]), np.append(heads[same], [head, tail]), w0, delta)
     if influence <= 0.0:
         return net
-    x, y = net.x.copy(), net.y.copy()
-    x[tail, head] = influence
-    y[tail, head] = 1.0 - influence
+    bridge = (net.tails == tail) & (net.heads == head)
+    x = np.where(bridge, influence, net.x)
+    y = np.where(bridge, 1.0 - influence, net.y)
     return dataclasses.replace(net, x=x, y=y)
 
 
@@ -123,30 +123,22 @@ def random_network(
     support |= extra
 
     weights = np.where(support, rng.uniform(0.2, 1.0, size=(n, n)), 0.0)
-    p = weights / weights.sum(axis=1)[:, None]
+    tails, heads = np.divmod(np.flatnonzero(support), n)
+    # row sums over the dense rows: their zeros set the pairwise-summation order, and so the last bit of p
+    p = weights[tails, heads] / weights.sum(axis=1)[tails]
 
-    x = np.zeros((n, n))
-    y = np.zeros((n, n))
-    z = np.zeros((n, n))
-    for i, j in np.argwhere(support):
-        zz = rng.uniform(0.0, MAX_PERSISTENT)
-        rem = 1.0 - zz
+    x, y, z = np.zeros((3, len(tails)))
+    for e in range(len(tails)):
+        z[e] = rng.uniform(0.0, MAX_PERSISTENT)
         if rng.random() < INFLUENCE_PROB:
-            t = rng.uniform(0.1, 0.9)
-            xx = rem * t
-        else:
-            xx = 0.0
-        x[i, j] = xx
-        y[i, j] = rem - xx
-        z[i, j] = zz
+            x[e] = (1.0 - z[e]) * rng.uniform(0.1, 0.9)
+        y[e] = 1.0 - z[e] - x[e]
 
     w0 = rng.uniform(0.0, 1.0, size=n)
     delta = float(rng.uniform(0.05, 0.5))
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=w0)
+    return AcquaintanceNetwork(n=n, delta=delta, w0=w0, tails=tails, heads=heads, p=p, x=x, y=y, z=z)
 
 
 def without_influence(net: AcquaintanceNetwork) -> AcquaintanceNetwork:
     """Copy of ``net`` with all influence probability moved onto averaging."""
-    x = np.zeros_like(net.x)
-    y = np.asarray(net.y + net.x)
-    return AcquaintanceNetwork(n=net.n, delta=net.delta, p=net.p.copy(), x=x, y=y, z=net.z.copy(), w0=net.w0.copy())
+    return dataclasses.replace(net, x=np.zeros_like(net.x), y=net.y + net.x)

@@ -71,33 +71,34 @@ class EnsembleSummary:
 
 
 def build_sampler(net: AcquaintanceNetwork):
-    """Padded cumulative meeting table: (table, partner, width).
+    """Padded cumulative meeting table: (table, partner, width, x, y).
 
     ``width`` is the smallest power of two at least the largest degree.
     Row i of the flat float64 ``table`` is ``table[i*width:(i+1)*width]``:
     the cumulative probabilities of i's partners in index order, ending
     exactly at 1.0 (each row rescaled by its own sum, which the validator
-    already pins to 1 within 1e-9), then ``+inf``.  The int32 ``partner``
-    holds the partner indices in the same layout (0 in the padding).  The
-    cumulative sums run over the dense rows: adding a zero is exact, so
-    each partner's entry equals the sum over that row's partners alone,
-    and the last one, divided by itself, is exactly 1.0.
+    already pins to 1 within 1e-9), then ``+inf``.  ``partner`` (int32),
+    ``x`` and ``y`` hold each edge's head and type probabilities in the
+    same layout, 0 in the padding.  The sums run along the zero-padded
+    rows, and adding a zero is exact, so the last entry of a row, divided
+    by itself, is exactly 1.0.
     """
-    tails, heads = net.edges
-    degree = np.bincount(tails, minlength=net.n)
+    met = net.p > 0.0  # the edges
+    degree = np.bincount(net.tails[met], minlength=net.n)
     if not degree.all():
         raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
     width = 1 << int(degree.max() - 1).bit_length()
     # row i's first degree[i] cells; the mask fills row-major, the order of the edge list
     filled = (np.arange(width) < degree[:, None]).ravel()
-    cum = np.cumsum(net.p, axis=1)
-    cum /= cum[:, -1:]
-    table = np.full(net.n * width, np.inf)
-    table[filled] = cum[tails, heads]
-    del cum  # before the partner table is allocated, which lowers the peak by n x n floats
+    table, x, y = padded = np.zeros((3, net.n * width))
+    padded[:, filled] = [net.p[met], net.x[met], net.y[met]]
+    rows = table.reshape(net.n, width)
+    np.cumsum(rows, axis=1, out=rows)
+    rows /= rows[:, -1:]
+    table[~filled] = np.inf
     partner = np.zeros(net.n * width, dtype=np.int32)
-    partner[filled] = heads
-    return table, partner, width
+    partner[filled] = net.heads[met]
+    return table, partner, width, x, y
 
 
 def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
@@ -147,6 +148,9 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    # the blind blocks of kernels.gossip_chunk see an overflow only when 0 < delta < 1
+    if not 0 < net.delta < 1:
+        raise ValueError("delta must be in (0, 1)")
     n = net.n
     sampler = build_sampler(net)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
@@ -168,7 +172,7 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
             for q, k in enumerate(group):
                 rngs[k].random(out=uniforms[q * count : (q + 1) * count])
             out = kernels.gossip_chunk(
-                [ws[k] for k in group], *sampler, net.x, net.y, float(net.delta), float(tol),
+                [ws[k] for k in group], *sampler, float(net.delta), float(tol),
                 uniforms, slot, [state[k][1] for k in group], record_every,
                 None if records is None else [records[k] for k in group],
             )

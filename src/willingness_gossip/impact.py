@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import Thm6InapplicableError
 from .meanfield import fundamental_solve
-from .network import AcquaintanceNetwork, edge_partition
+from .network import AcquaintanceNetwork, dense, edge_partition
 
 ZERO_IMPACT_FLOOR = 1e-13
 
@@ -90,7 +90,7 @@ def impact_thm5(
     """
     n = net.n
     pi_bar = np.asarray(pi_bar, dtype=float)
-    coef = net.influence * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
+    coef = dense(net, net.influence) * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
     weights = coef.sum(axis=1) - coef.sum(axis=0)
     values = -fundamental_solve(K, weights) / (2.0 * n)
     residual = np.abs(values - impact_exact(pi_bar))
@@ -116,18 +116,19 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     with the reason the report prints, where the form does not apply.
     """
     n = net.n
-    p, x, z = net.p, net.x, net.z
-    tails, heads = net.edges
-    influential = np.flatnonzero(p[tails, heads] * x[tails, heads] > 0.0)
+    q = net.influence
+    influential = np.flatnonzero((net.p > 0.0) & (q > 0.0))
     if influential.size == 0:
         raise Thm6InapplicableError("no influential edge")
     if influential.size > 1:
         raise Thm6InapplicableError(f"multiple influential edges ({influential.size})")
-    i, j = int(tails[influential[0]]), int(heads[influential[0]])
+    e = influential[0]
+    i, j = int(net.tails[e]), int(net.heads[e])
     partition = edge_partition(net, i, j)
     if partition is None:
         raise Thm6InapplicableError(f"influential edge ({i}, {j}) is not a bridge")
-    mu = float(p[i, j] * x[i, j] / (p[i, j] * (1.0 - z[i, j]) + p[j, i] * (1.0 - z[j, i])))
+    s = net.social
+    mu = float(q[e] / (s[e] + s[(net.tails == j) & (net.heads == i)].sum()))  # the sum is 0.0 if (j, i) is not listed
     size_i = len(partition.side_i)
     size_j = len(partition.side_j)
     denom = 1.0 - (mu / n) * (size_i + (2.0 * net.delta - 1.0) * size_j)

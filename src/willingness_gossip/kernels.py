@@ -61,19 +61,19 @@ def decode_meetings(table, partner, width, x, y, uniforms):
     The initiator is ``min(int(u0 * n), n - 1)``.  Row i of the padded
     meeting table (``gossip.build_sampler``) is ``table[i*width:(i+1)*width]``:
     the cumulative probabilities of i's partners, non-decreasing and ending
-    at exactly 1.0, then ``+inf``; ``partner`` holds the partner indices in
-    the same layout.  The partner is the first entry of the row with
-    cumulative probability above u1, found by a fixed-step search run over
-    all rows at once: for step = width/2, ..., 1, the position moves on by
-    step if the entry step - 1 ahead is ``<= u1``.  That is log2(width)
-    steps with no test for whether every search has settled, and it ends
-    on the first entry above u1 because the entries ``<= u1`` form a prefix
-    of the row that never reaches its last real entry, 1.0.  The kind is
-    regular if ``u2 < y[i, j]``, influence if ``u2 < y[i, j] + x[i, j]``,
-    persistent otherwise; as ``x >= 0``, that is the number of those two
-    bounds that u2 reaches.  Returns three int64 arrays.
+    at exactly 1.0, then ``+inf``; ``partner``, ``x`` and ``y`` hold each
+    partner's index and type probabilities in the same layout.  The partner
+    is at the first position ``pos`` of the row with cumulative probability
+    above u1, found by a fixed-step search over all rows at once: for step
+    = width/2, ..., 1, pos moves on by step if the entry step - 1 ahead is
+    ``<= u1``.  That is log2(width) steps with no test for whether every
+    search has settled, and it ends on the first entry above u1 because the
+    entries ``<= u1`` form a prefix of the row that never reaches its last
+    real entry, 1.0.  The kind is regular if ``u2 < y[pos]``, influence if
+    ``u2 < y[pos] + x[pos]``, persistent otherwise; as ``x >= 0``, that is
+    the number of those two bounds that u2 reaches.  Returns three int64 arrays.
     """
-    n = x.shape[0]
+    n = table.shape[0] // width
     u1 = uniforms[:, 1]
     u2 = uniforms[:, 2]
     i = (uniforms[:, 0] * n).astype(np.int64)
@@ -84,9 +84,8 @@ def decode_meetings(table, partner, width, x, y, uniforms):
         pos += (table.take(pos + (step - 1)) <= u1) * step
         step >>= 1
     j = partner.take(pos).astype(np.int64)
-    flat = i * n + j
-    yy = y.take(flat)
-    kind = np.add(u2 >= yy, u2 >= yy + x.take(flat), dtype=np.int64)
+    yy = y.take(pos)
+    kind = np.add(u2 >= yy, u2 >= yy + x.take(pos), dtype=np.int64)
     return i, j, kind
 
 
@@ -234,7 +233,7 @@ def gossip_chunk(
     value is NaN), all above tol.  ``uniforms`` holds ``count`` rows per
     replica, one per slot, replica q's in the q-th block of ``count`` rows;
     one ``decode_meetings`` call decodes the whole group from the padded
-    meeting table ``(table, partner, width)``.  Averaging sets both
+    meeting table ``(table, partner, width, x, y)``.  Averaging sets both
     endpoints to their mean; influence moves the initiator toward the
     partner with retention delta, clamped into the pre-meeting pair
     interval so the spread is exactly non-increasing in floating point
@@ -267,7 +266,7 @@ def gossip_chunk(
     # row offsets where each replica's segments end: one per recorded slot, then the chunk's end
     ends = np.arange(group)[:, None] * count + np.array([m - slot for m in marks] + [count])
     cuts = np.searchsorted(rows, ends).tolist()
-    block = max(_BLOCK_MEETINGS, 4 * x.shape[0])
+    block = max(_BLOCK_MEETINGS, 4 * len(ws[0]))
     out = []
     lo = 0
     for q, w in enumerate(ws):
@@ -293,7 +292,7 @@ def warmup() -> None:
     table = np.array([1.0, np.inf, 1.0, np.inf])
     partner = np.array([1, 0, 0, 0], dtype=np.int32)
     gossip_chunk(
-        [[0.0, 1.0], [0.0, 1.0]], table, partner, 2, np.zeros((2, 2)), np.ones((2, 2)),
+        [[0.0, 1.0], [0.0, 1.0]], table, partner, 2, np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]),
         0.5, 1e-9, np.full((4, 3), 0.25), 0, [1.0, 1.0], 1, [[], []],
     )
     conductance_scan(np.full((2, 2), 0.5))

@@ -10,7 +10,7 @@ uses them only through matrix-vector products, so it takes those by one
 linear solve (:func:`fundamental_solve`); the full matrices remain as
 reference routines.
 
-All computations are dense; the intended scale is n <= 2000.
+All computations are dense, on n x n matrices formed by ``network.dense``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .network import AcquaintanceNetwork, reachable, readonly
+from .network import AcquaintanceNetwork, dense, reachable, readonly
 
 # Bound on the 1-norm condition number of the stationary system; the
 # 2-norm value differs from it by at most a factor n either way.
@@ -61,12 +61,13 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     its per-slot probability p_ij * type / n.  The sums collapse to dense
     closed forms: the social part is a scaled graph Laplacian of the
     symmetrized non-persistent weights, the influence part a combination
-    of row/column sums of p*x.
+    of row/column sums of p*x.  Every sum runs over the dense matrices, so
+    its rounding does not depend on which zero-weight pairs are listed.
     """
     n = net.n
-    s = net.social
-    q = net.influence
-    total_p = float(net.p.sum())
+    s = dense(net, net.social)
+    q = dense(net, net.influence)
+    total_p = float(dense(net, net.p).sum())
 
     r = s.sum(axis=1)
     c = s.sum(axis=0)

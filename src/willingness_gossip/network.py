@@ -1,10 +1,11 @@
 """Acquaintance-network model: parsing, validation, and basic graph metrics.
 
-A network couples a meeting-probability matrix ``p`` with per-ordered-pair
-interaction-type probabilities ``x`` (one-sided influence), ``y`` (mutual
-averaging) and ``z`` (no change), an influence-retention factor ``delta``
-and an initial willingness vector ``w0``.  Node ids are 0-based everywhere,
-both in memory and in the JSON file format.
+A network lists the ordered pairs (i, j) of users who meet, each with its
+meeting probability ``p`` and interaction-type probabilities ``x``
+(one-sided influence), ``y`` (mutual averaging) and ``z`` (no change),
+plus an influence-retention factor ``delta`` and an initial willingness
+vector ``w0``; only :func:`dense` forms n x n matrices.  Node ids are
+0-based everywhere, both in memory and in the JSON file format.
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ from .errors import NetworkFormatError, NotStronglyConnectedError
 
 ROW_SUM_TOL = 1e-9
 TYPE_SUM_TOL = 1e-9
-MAX_N = 5000  # largest accepted network; one dense n x n float matrix is then ~200 MB
+MAX_N = 5000  # largest accepted network; one dense n x n float matrix of the analytic path is then ~200 MB
 
 
-def readonly(value) -> np.ndarray:
-    """``value`` as a C-contiguous float64 array that cannot be written."""
-    arr = np.ascontiguousarray(value, dtype=np.float64)
+def readonly(value, dtype=np.float64) -> np.ndarray:
+    """``value`` as a C-contiguous array of ``dtype`` that cannot be written."""
+    arr = np.ascontiguousarray(value, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True)
 class AcquaintanceNetwork:
-    """Immutable acquaintance network.
+    """Immutable acquaintance network, held as one column per field of its listed pairs.
 
     Attributes
     ----------
@@ -42,57 +43,70 @@ class AcquaintanceNetwork:
     delta : float
         Influence retention in (0, 1/2]; at 1/2 an influence meeting is
         indistinguishable from averaging for the influenced side.
-    p : ndarray, shape (n, n)
-        Meeting probabilities; ``p[i, j]`` is the probability that user i,
-        when initiating, meets user j.  Zero diagonal, rows sum to 1.
-    x, y, z : ndarray, shape (n, n)
-        Interaction-type probabilities conditional on the meeting (i, j):
-        influence (j pulls i), regular (mutual averaging), persistent
-        (no change).  ``x + y + z = 1`` wherever ``p > 0``.
     w0 : ndarray, shape (n,)
         Initial willingness values in [0, 1]; 1 marks an adopter.
+    tails, heads : ndarray, shape (E,), int64
+        The listed ordered pairs (tails[e], heads[e]) in row-major order:
+        the keys ``tails * n + heads`` are in range and strictly
+        increasing.  Every pair not listed has p = x = y = z = 0.
+    p, x, y, z : ndarray, shape (E,)
+        Per listed pair: p, the probability that the tail, when initiating,
+        meets the head (no self-meetings; each user's sum to 1), and the
+        interaction types given the meeting: influence x (the head pulls
+        the tail), regular y (mutual averaging), persistent z (no change),
+        with ``x + y + z = 1`` wherever ``p > 0``.
     """
 
     n: int
     delta: float
+    w0: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
     p: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    w0: np.ndarray
 
     def __post_init__(self):
-        for name in ("p", "x", "y", "z", "w0"):
-            arr = readonly(getattr(self, name))
-            shape = (self.n,) if name == "w0" else (self.n, self.n)
-            if arr.shape != shape:
+        for name in ("tails", "heads", "p", "x", "y", "z", "w0"):
+            arr = readonly(getattr(self, name), np.int64 if name in ("tails", "heads") else np.float64)
+            shape = (self.n,) if name == "w0" else np.shape(self.tails)
+            if arr.shape != shape or arr.ndim != 1:
                 raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, arr)
+        if not np.all((self.tails >= 0) & (self.tails < self.n) & (self.heads >= 0) & (self.heads < self.n)):
+            raise ValueError(f"a listed pair is out of range for n={self.n}")
+        keys = self.tails * self.n + self.heads
+        if not np.all(keys[1:] > keys[:-1]):
+            raise ValueError("listed pairs must be distinct and in row-major order")
 
     @property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(tails, heads)`` of the directed edges {(i, j): p[i, j] > 0}, in row-major order.
+        """``(tails, heads)`` of the directed edges, the listed pairs with p > 0, in row-major order."""
+        met = self.p > 0.0
+        return self.tails[met], self.heads[met]
 
-        Not cached: one pass over ``p`` is small next to the n x n work of
-        every caller, and a frozen network then holds nothing but its inputs.
-        """
-        return np.divmod(np.flatnonzero(self.p > 0.0), self.n)
-
-    # Not cached: a cache would keep two more n x n arrays alive per network.
     @property
     def influence(self) -> np.ndarray:
-        """Influence weight p[i, j] * x[i, j] of each ordered pair (j pulls i)."""
+        """Influence weight p * x of each listed pair (the head pulls the tail)."""
         return self.p * self.x
 
     @property
     def social(self) -> np.ndarray:
-        """Non-persistent meeting weight p[i, j] * (1 - z[i, j]) of each ordered pair."""
+        """Non-persistent meeting weight p * (1 - z) of each listed pair."""
         return self.p * (1.0 - self.z)
 
     @property
     def influence_mass(self) -> float:
         """Total influence weight sum_ij p[i, j] * x[i, j]."""
         return float(np.sum(self.influence))
+
+
+def dense(net: AcquaintanceNetwork, values: np.ndarray) -> np.ndarray:
+    """The n x n matrix holding ``values[e]`` at (tails[e], heads[e]) and 0 at every pair not listed."""
+    out = np.zeros((net.n, net.n))
+    out[net.tails, net.heads] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,11 +187,8 @@ def parse_network(text: str) -> AcquaintanceNetwork:
     columns = _edge_columns(edges, n)
     if columns is None:
         _raise_first_faulty_edge(edges, n)
-    i, j, values = columns
-
-    p, x, y, z = matrices = np.zeros((4, n, n))
-    matrices[:, i, j] = values
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=w0)
+    tails, heads, (p, x, y, z) = columns
+    return AcquaintanceNetwork(n=n, delta=delta, w0=w0, tails=tails, heads=heads, p=p, x=x, y=y, z=z)
 
 
 _EDGE_FIELDS = ("from", "to", "p", "x", "y", "z")
@@ -185,11 +196,12 @@ _EDGE_TYPES = ({int},) * 2 + ({int, float},) * 4  # bool is not int here: type(T
 
 
 def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``edges`` as index columns ``i``, ``j`` and a (4, len(edges)) p/x/y/z block.
+    """``edges`` as index columns ``i``, ``j`` and a (4, len(edges)) p/x/y/z block, in row-major order.
 
     One pass per field, then whole-column checks: field types, index
-    range, duplicate pairs and finiteness.  Returns None when any check
-    refuses; :func:`_raise_first_faulty_edge` then names the edge.
+    range, finiteness, and duplicate pairs among the sorted keys
+    ``i * n + j``.  Returns None when any check refuses;
+    :func:`_raise_first_faulty_edge` then names the edge.
     """
     try:
         columns = [list(map(operator.itemgetter(key), edges)) for key in _EDGE_FIELDS]
@@ -204,11 +216,11 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         return None
     if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n)) and np.isfinite(values).all()):
         return None
-    pairs = np.zeros((n, n), dtype=bool)
-    pairs[i, j] = True
-    if np.count_nonzero(pairs) != len(edges):  # some (from, to) pair repeats
+    order = np.argsort(i * n + j, kind="stable")  # a file written by serialize_network is already sorted
+    keys = i[order] * n + j[order]
+    if np.any(keys[1:] == keys[:-1]):  # some (from, to) pair repeats
         return None
-    return i, j, values
+    return i[order], j[order], values[:, order]
 
 
 def _raise_first_faulty_edge(edges: list, n: int) -> NoReturn:
@@ -235,8 +247,8 @@ def _raise_first_faulty_edge(edges: list, n: int) -> NoReturn:
 
 def serialize_network(net: AcquaintanceNetwork) -> str:
     """Serialize a network back to the JSON document format."""
-    tails, heads = net.edges
-    columns = [tails, heads] + [arr[tails, heads] for arr in (net.p, net.x, net.y, net.z)]
+    met = net.p > 0.0
+    columns = [col[met] for col in (net.tails, net.heads, net.p, net.x, net.y, net.z)]
     edges = [dict(zip(_EDGE_FIELDS, row)) for row in zip(*(col.tolist() for col in columns))]
     doc = {
         "n": net.n,
@@ -293,49 +305,41 @@ def reachable(tails: np.ndarray, heads: np.ndarray, seeds: np.ndarray) -> tuple[
     return reached.T.view(bool).reshape(seeds.shape), hops
 
 
-def _cells(mask: np.ndarray) -> np.ndarray:
-    """``np.argwhere(mask)`` by way of the flat indices.
-
-    numpy's nonzero on a 2-d mask scans far slower than on a flat one;
-    on an all-False 500 x 500 mask the difference is about 30-fold.
-    """
-    return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=-1)
-
-
 def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
     """Check every model invariant; returns ok or the full violation list."""
     v: list[str] = []
     n = net.n
 
-    for name, arr in (("p", net.p), ("x", net.x), ("y", net.y), ("z", net.z), ("w0", net.w0)):
-        bad = _cells(~np.isfinite(arr))
+    for name in ("p", "x", "y", "z", "w0"):
+        bad = np.flatnonzero(~np.isfinite(getattr(net, name)))
         if bad.size:
-            where = ", ".join(str(k) for k in bad[0])
-            v.append(f"non-finite {name}[{where}] ({bad.shape[0]} non-finite entries in {name})")
+            e = bad[0]
+            where = e if name == "w0" else f"{net.tails[e]}, {net.heads[e]}"
+            v.append(f"non-finite {name}[{where}] ({bad.size} non-finite entries in {name})")
 
     # also rejects a NaN or infinite delta
     if not (0.0 < net.delta <= 0.5):
         v.append(f"delta {net.delta} outside (0, 0.5]")
 
-    diag = np.diagonal(net.p)
-    for i in np.nonzero(diag != 0.0)[0]:
+    for i in net.tails[(net.tails == net.heads) & (net.p != 0.0)]:
         v.append(f"self-meeting probability nonzero at node {i}")
 
-    if np.any(net.p < 0.0) or np.any(net.p > 1.0):
-        bad = _cells((net.p < 0.0) | (net.p > 1.0))[0]
-        v.append(f"meeting probability out of [0, 1] at ({bad[0]}, {bad[1]})")
+    bad = np.flatnonzero((net.p < 0.0) | (net.p > 1.0))
+    if bad.size:
+        v.append(f"meeting probability out of [0, 1] at ({net.tails[bad[0]]}, {net.heads[bad[0]]})")
 
-    row_sums = net.p.sum(axis=1)
+    row_sums = np.bincount(net.tails, weights=net.p, minlength=n)
     for i in np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]:
         v.append(f"meeting probabilities of node {i} sum to {row_sums[i]:.12g}, expected 1")
 
-    for name, mat in (("x", net.x), ("y", net.y), ("z", net.z)):
-        if np.any(mat < -TYPE_SUM_TOL) or np.any(mat > 1.0 + TYPE_SUM_TOL):
-            bad = _cells((mat < -TYPE_SUM_TOL) | (mat > 1.0 + TYPE_SUM_TOL))[0]
-            v.append(f"interaction probability {name} out of [0, 1] at ({bad[0]}, {bad[1]})")
+    for name in ("x", "y", "z"):
+        col = getattr(net, name)
+        bad = np.flatnonzero((col < -TYPE_SUM_TOL) | (col > 1.0 + TYPE_SUM_TOL))
+        if bad.size:
+            v.append(f"interaction probability {name} out of [0, 1] at ({net.tails[bad[0]]}, {net.heads[bad[0]]})")
 
     tails, heads = net.edges
-    x, y, z = net.x[tails, heads], net.y[tails, heads], net.z[tails, heads]
+    x, y, z = (col[net.p > 0.0] for col in (net.x, net.y, net.z))
     type_sum = x + y + z
     for e in np.flatnonzero(np.abs(type_sum - 1.0) > TYPE_SUM_TOL):
         v.append(f"interaction probabilities at edge ({tails[e]}, {heads[e]}) sum to {type_sum[e]:.12g}, expected 1")
@@ -378,12 +382,11 @@ def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | 
     """
     if not (0 <= i < net.n and 0 <= j < net.n) or i == j:
         raise ValueError(f"invalid node pair ({i}, {j})")
-    if net.p[i, j] <= 0.0 and net.p[j, i] <= 0.0:
-        raise ValueError(f"({i}, {j}) is not an edge")
-
     tails, heads = net.edges
-    keep = ~(((tails == i) & (heads == j)) | ((tails == j) & (heads == i)))
-    tails, heads = tails[keep], heads[keep]
+    pair = ((tails == i) & (heads == j)) | ((tails == j) & (heads == i))
+    if not pair.any():
+        raise ValueError(f"({i}, {j}) is not an edge")
+    tails, heads = tails[~pair], heads[~pair]
     # each edge in both directions; a pair met both ways is then listed twice
     seen = reachable(np.concatenate((tails, heads)), np.concatenate((heads, tails)), np.arange(net.n) == i)[0]
     if seen[j]:

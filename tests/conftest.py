@@ -10,9 +10,19 @@ from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, decode_meet
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, serialize_network
 
 
+def network_from_dense(n, delta, p, x, y, z, w0) -> AcquaintanceNetwork:
+    """The network of the n x n matrices ``p, x, y, z``: it lists every cell where any of them is nonzero."""
+    p, x, y, z = (np.asarray(m, dtype=np.float64) for m in (p, x, y, z))
+    tails, heads = np.nonzero((p != 0.0) | (x != 0.0) | (y != 0.0) | (z != 0.0))
+    return AcquaintanceNetwork(
+        n=n, delta=delta, w0=w0, tails=tails, heads=heads,
+        p=p[tails, heads], x=x[tails, heads], y=y[tails, heads], z=z[tails, heads],
+    )
+
+
 def _sample_meetings_batch(net, count: int, rng: np.random.Generator):
     """``count`` meetings (i, j, kind) decoded from ``rng`` exactly as the simulator decodes them."""
-    return decode_meetings(*build_sampler(net), net.x, net.y, rng.random((count, 3)))
+    return decode_meetings(*build_sampler(net), rng.random((count, 3)))
 
 
 def _empirical_mean_update(net, count: int, rng: np.random.Generator):
@@ -82,11 +92,7 @@ def _reference_parse_network(text: str) -> AcquaintanceNetwork:
     if not isinstance(edges, list):
         raise NetworkFormatError("field 'edges' must be an array")
 
-    p = np.zeros((n, n))
-    x = np.zeros((n, n))
-    y = np.zeros((n, n))
-    z = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
+    cells: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     for idx, edge in enumerate(edges):
         ctx = f"edges[{idx}]"
         if not isinstance(edge, dict):
@@ -98,15 +104,15 @@ def _reference_parse_network(text: str) -> AcquaintanceNetwork:
                 raise NetworkFormatError(f"{ctx}: field '{key}' must be an integer")
         if not (0 <= i < n) or not (0 <= j < n):
             raise NetworkFormatError(f"{ctx}: node index out of range (from={i}, to={j}, n={n})")
-        if (i, j) in seen:
+        if (i, j) in cells:
             raise NetworkFormatError(f"{ctx}: duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        p[i, j] = _as_number(_require_key(edge, "p", ctx), "p")
-        x[i, j] = _as_number(_require_key(edge, "x", ctx), "x")
-        y[i, j] = _as_number(_require_key(edge, "y", ctx), "y")
-        z[i, j] = _as_number(_require_key(edge, "z", ctx), "z")
+        cells[i, j] = tuple(_as_number(_require_key(edge, key, ctx), key) for key in ("p", "x", "y", "z"))
 
-    return AcquaintanceNetwork(n=n, delta=delta, p=p, x=x, y=y, z=z, w0=w0)
+    pairs = sorted(cells)  # row-major: every listed pair, whatever its values
+    p, x, y, z = np.array([cells[pair] for pair in pairs], dtype=np.float64).reshape(-1, 4).T
+    return AcquaintanceNetwork(
+        n=n, delta=delta, w0=w0, tails=[i for i, _ in pairs], heads=[j for _, j in pairs], p=p, x=x, y=y, z=z
+    )
 
 
 @pytest.fixture(scope="session")

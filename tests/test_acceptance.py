@@ -33,7 +33,7 @@ from willingness_gossip.meanfield import (
     stationary_distribution,
     stationary_perturbation,
 )
-from willingness_gossip.network import serialize_network, validate_network
+from willingness_gossip.network import dense, serialize_network, validate_network
 from willingness_gossip.spectral import (
     bound_expectation,
     bound_l2,
@@ -325,13 +325,13 @@ def test_criterion_9_deterministic_reports(tmp_path):
 
 def dense_psi1(net):
     """psi1 as the minimum of (s + s.T) / (2n) over the edges p > 0, s the social weights."""
-    s = net.social
-    return float(((s + s.T) / (2.0 * net.n))[net.p > 0.0].min())
+    s = dense(net, net.social)
+    return float(((s + s.T) / (2.0 * net.n))[dense(net, net.p) > 0.0].min())
 
 
 def dense_thm6_edge(net):
     """The influential pairs of the dense influence matrix, and mu of the first one."""
-    q, s = net.influence, net.social
+    q, s = dense(net, net.influence), dense(net, net.social)
     pairs = [(int(i), int(j)) for i, j in np.argwhere(q > 0.0)]
     if not pairs:
         return pairs, None
@@ -344,7 +344,7 @@ def test_edge_list_routes_match_dense_formulas(corpus):
     bridged += [barbell(4), bridged_clusters(3, 5), two_node_influencer()]
     ring = cycle(5)
     x, y = ring.x.copy(), ring.y.copy()
-    x[0, 1], y[0, 1] = 0.5, 0.5  # one influential edge that is not a bridge
+    x[0], y[0] = 0.5, 0.5  # (0, 1), the first listed pair: one influential edge that is not a bridge
     bridged.append(dataclasses.replace(ring, x=x, y=y))
     outcomes = set()
     for net in corpus + bridged:

@@ -497,5 +497,5 @@ def test_parse_matches_the_per_edge_reference(reference_parse_network, mutations
         return
     net = parse_network(text)
     assert (net.n, np.float64(net.delta).tobytes()) == (expected.n, np.float64(expected.delta).tobytes())
-    for name in ("p", "x", "y", "z", "w0"):
+    for name in ("tails", "heads", "p", "x", "y", "z", "w0"):
         assert getattr(net, name).tobytes() == getattr(expected, name).tobytes(), name

@@ -27,6 +27,7 @@ from willingness_gossip.gossip import (
 )
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR
 from willingness_gossip.meanfield import build_mean_matrices
+from willingness_gossip.network import AcquaintanceNetwork, dense
 
 
 class TestApplyMeeting:
@@ -78,10 +79,11 @@ class TestSampling:
     def test_kind_never_without_probability(self, rng, sample_meetings_batch):
         net = random_network(rng, 6)
         i, j, kind = sample_meetings_batch(net, 20000, rng)
+        p, x, y = (dense(net, col) for col in (net.p, net.x, net.y))
         assert np.all(i != j)
-        assert np.all(net.p[i, j] > 0)
-        assert np.all(net.x[i[kind == 1], j[kind == 1]] > 0)
-        assert np.all(net.y[i[kind == 0], j[kind == 0]] > 0)
+        assert np.all(p[i, j] > 0)
+        assert np.all(x[i[kind == 1], j[kind == 1]] > 0)
+        assert np.all(y[i[kind == 0], j[kind == 0]] > 0)
 
     def test_empirical_frequencies_three_sigma(self, sample_meetings_batch):
         # directed triangle with an extra reverse edge and mixed types
@@ -90,12 +92,13 @@ class TestSampling:
         count = 10**6
         i, j, kind = sample_meetings_batch(net, count, np.random.default_rng(7))
         n = net.n
+        p, x, y = (dense(net, col) for col in (net.p, net.x, net.y))
         for a in range(n):
             for b in range(n):
-                if net.p[a, b] == 0:
+                if p[a, b] == 0:
                     continue
-                for code, mat in ((0, net.y), (1, net.x)):
-                    prob = net.p[a, b] * mat[a, b] / n
+                for code, mat in ((0, y), (1, x)):
+                    prob = p[a, b] * mat[a, b] / n
                     hits = int(np.sum((i == a) & (j == b) & (kind == code)))
                     sigma = np.sqrt(prob * (1 - prob) * count)
                     assert abs(hits - prob * count) <= 3 * sigma + 1e-9, (a, b, code)
@@ -108,7 +111,7 @@ class TestSampling:
 
 
 def per_row_sampler(net):
-    """Each row's partners and cumulative meeting probabilities, built row by row from ``net.p``.
+    """Each row's partners and cumulative meeting probabilities, built row by row from the dense ``p``.
 
     Returns (nbr_idx, nbr_cum, row_start): row i's entries are
     ``[row_start[i]:row_start[i+1]]``.  The reference for the padded table
@@ -116,9 +119,10 @@ def per_row_sampler(net):
     """
     nbr_idx, cums = [], []
     row_start = np.zeros(net.n + 1, dtype=np.int64)
+    p = dense(net, net.p)
     for i in range(net.n):
-        cols = np.nonzero(net.p[i])[0]
-        cum = np.cumsum(net.p[i, cols])
+        cols = np.nonzero(p[i])[0]
+        cum = np.cumsum(p[i, cols])
         cum /= cum[-1]
         cum[-1] = 1.0
         nbr_idx.extend(int(c) for c in cols)
@@ -131,18 +135,22 @@ def test_build_sampler_equals_per_row_loop(rng):
     nets = [barbell(3), two_node_influencer(), complete(17), complete(18)]
     nets += [random_network(rng, int(rng.integers(2, 30))) for _ in range(10)]
     for net in nets:
-        table, partner, width = build_sampler(net)
+        table, partner, width, x, y = build_sampler(net)
         nbr_idx, nbr_cum, row_start = per_row_sampler(net)
         degree = np.diff(row_start)
         assert width == 1 << int(degree.max() - 1).bit_length()  # smallest power of two >= max degree
-        assert table.dtype == np.float64 and partner.dtype == np.int32
-        assert table.shape == partner.shape == (net.n * width,)
+        assert table.dtype == x.dtype == y.dtype == np.float64 and partner.dtype == np.int32
+        assert table.shape == partner.shape == x.shape == y.shape == (net.n * width,)
+        dense_x, dense_y = dense(net, net.x), dense(net, net.y)
         for i in range(net.n):
             row = slice(i * width, (i + 1) * width)
             want = nbr_cum[row_start[i] : row_start[i + 1]]
+            partners = nbr_idx[row_start[i] : row_start[i + 1]]
             assert table[row][: degree[i]].tobytes() == want.tobytes(), i  # bit for bit
             assert np.all(table[row][degree[i] :] == np.inf)
-            assert np.array_equal(partner[row][: degree[i]], nbr_idx[row_start[i] : row_start[i + 1]])
+            assert np.array_equal(partner[row][: degree[i]], partners)
+            assert np.array_equal(x[row][: degree[i]], dense_x[i, partners])
+            assert np.array_equal(y[row][: degree[i]], dense_y[i, partners])
 
 
 class TestRunReplica:
@@ -225,6 +233,22 @@ class TestRunReplica:
         for tol in (0.0, float("nan")):
             with pytest.raises(ValueError):
                 run_replica(regular_pair, tol=tol)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.25, float("nan")])
+    def test_delta_must_be_inside_the_unit_interval(self, delta):
+        """At delta = 0 an influence meeting turns an inf initiator into NaN, which the blind blocks' max and min skip.
+
+        Unrefused, this network reported spread 1.0 with values [0, nan, nan, 1]
+        after the meetings (1, 2) regular, then (1, 3) and (2, 3) influence.
+        """
+        net = AcquaintanceNetwork(
+            n=4, delta=delta, w0=[0.0, 1.7e308, 1.7e308, 1.0], tails=[0, 1, 1, 2, 3], heads=[1, 2, 3, 3, 1],
+            p=[1.0, 0.5, 0.5, 1.0, 1.0], x=[0.0, 0.0, 1.0, 1.0, 0.0], y=[1.0, 1.0, 0.0, 0.0, 1.0], z=[0.0] * 5,
+        )
+        with pytest.raises(ValueError, match="delta"):
+            run_replica(net, max_slots=100, seed=0)
+        with pytest.raises(ValueError, match="delta"):
+            simulate_ensemble(net, replicas=2, max_slots=100, seed=0)
 
     def test_recorded_spread_follows_an_averaging_overflow(self):
         """Two values above DBL_MAX/2 average to inf: the spread is inf from that slot on."""

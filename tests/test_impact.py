@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -28,7 +29,7 @@ from willingness_gossip.meanfield import (
     mean_first_passage,
     stationary_distribution,
 )
-from willingness_gossip.network import AcquaintanceNetwork
+from willingness_gossip.network import dense
 from willingness_gossip.report import RunConfig, analyze, render_json
 from willingness_gossip.spectral import conductance
 
@@ -38,9 +39,9 @@ def influenced_cycle():
     net = cycle(4)
     x = net.x.copy()
     y = net.y.copy()
-    x[0, 1] = 0.5
-    y[0, 1] = 0.5
-    return AcquaintanceNetwork(n=4, delta=0.5, p=net.p, x=x, y=y, z=net.z, w0=net.w0)
+    x[0] = 0.5  # (0, 1), the first listed pair
+    y[0] = 0.5
+    return dataclasses.replace(net, x=x, y=y)
 
 
 def exact_pipeline(net):
@@ -95,7 +96,7 @@ class TestPassageTimeIdentity:
             mm, pi, _ = exact_pipeline(net)
             n = net.n
             m = mean_first_passage(fundamental_matrix(mm.K), np.full(n, 1.0 / n))
-            coef = net.p * net.x * ((1.0 - 2.0 * net.delta) * pi[:, None] + pi[None, :])
+            coef = dense(net, net.p) * dense(net, net.x) * ((1.0 - 2.0 * net.delta) * pi[:, None] + pi[None, :])
             oracle = (np.einsum("ij,ik->k", coef, m) - np.einsum("ij,jk->k", coef, m)) / (2.0 * n * n)
             values, _ = impact_thm5(net, pi, mm.K)
             worst = max(worst, float(np.max(np.abs(values - oracle))))
@@ -225,9 +226,7 @@ class TestRanking:
         mm = build_mean_matrices(net)
         pi = stationary_distribution(mm)
         order1 = [r.node for r in rank_clients(impact_exact(pi))]
-        scaled = AcquaintanceNetwork(
-            n=net.n, delta=net.delta, p=net.p, x=net.x, y=net.y, z=net.z, w0=net.w0 * 0.25
-        )
+        scaled = dataclasses.replace(net, w0=net.w0 * 0.25)
         pi2 = stationary_distribution(build_mean_matrices(scaled))
         order2 = [r.node for r in rank_clients(impact_exact(pi2))]
         assert order1 == order2

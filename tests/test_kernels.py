@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import network_from_dense
 from test_gossip import per_row_sampler
 
 from willingness_gossip import kernels
 from willingness_gossip.fixtures import random_network
 from willingness_gossip.gossip import apply_meeting, build_sampler
-from willingness_gossip.network import AcquaintanceNetwork
+from willingness_gossip.network import dense
 
 
 def drive(net, uniforms, tol=1e-9, group=1):
@@ -22,7 +23,7 @@ def drive(net, uniforms, tol=1e-9, group=1):
     ws = [net.w0.tolist() for _ in range(group)]
     records = [[] for _ in range(group)]
     out = kernels.gossip_chunk(
-        ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
+        ws, *build_sampler(net), float(net.delta), tol,
         uniforms, 0, [float(net.w0.max() - net.w0.min())] * group, 1, records,
     )
     return list(zip(ws, records, out))
@@ -31,15 +32,14 @@ def drive(net, uniforms, tol=1e-9, group=1):
 def _ring():
     """Every node meets only its successor (degree 1: width 1, a search of no steps), all three kinds."""
     p = np.roll(np.eye(6), 1, axis=1)
-    return AcquaintanceNetwork(n=6, delta=0.3, p=p, x=0.3 * p, y=0.5 * p, z=0.2 * p, w0=np.linspace(0.0, 1.0, 6))
+    return network_from_dense(n=6, delta=0.3, p=p, x=0.3 * p, y=0.5 * p, z=0.2 * p, w0=np.linspace(0.0, 1.0, 6))
 
 
 def _tied_cumulative():
     """Row 0 holds two equal consecutive cumulative values: p[0, 2] is below one ulp of 0.5."""
     net = random_network(np.random.default_rng(4), 8, extra_edge_prob=1.0)
     p = net.p.copy()
-    p[0] = 0.0
-    p[0, 1:4] = [0.5, 1e-300, 0.5]
+    p[net.tails == 0] = [0.5, 1e-300, 0.5, 0.0, 0.0, 0.0, 0.0]  # row 0 lists partners 1..7
     return dataclasses.replace(net, p=p)
 
 
@@ -72,22 +72,23 @@ def test_decode_meetings_matches_per_row_searchsorted():
         uniforms[1 : 1 + m, 1] = edges[keep]
         uniforms[1 + m, 1] = 0.0
 
-        i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+        i, j, kind = kernels.decode_meetings(*build_sampler(net), uniforms)
         assert i.dtype == j.dtype == kind.dtype == np.int64
         assert i[0] == n - 1, name
         # the same meetings again with u2 exactly on the bounds y and y + x of the kinds
+        x, y = dense(net, net.x), dense(net, net.y)
         on_bounds = uniforms.copy()
-        on_bounds[::2, 2] = net.y[i, j][::2]
-        on_bounds[1::2, 2] = (net.y + net.x)[i, j][1::2]
+        on_bounds[::2, 2] = y[i, j][::2]
+        on_bounds[1::2, 2] = (y + x)[i, j][1::2]
         uniforms = np.vstack([uniforms, on_bounds])
-        i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+        i, j, kind = kernels.decode_meetings(*build_sampler(net), uniforms)
         for t in range(uniforms.shape[0]):
             u0, u1, u2 = uniforms[t]
             ii = min(int(u0 * n), n - 1)
             row = slice(row_start[ii], row_start[ii + 1])
             k = int(np.searchsorted(nbr_cum[row], u1, side="right"))
             jj = nbr_idx[row][k]
-            yy, xx = net.y[ii, jj], net.x[ii, jj]
+            yy, xx = y[ii, jj], x[ii, jj]
             code = 0 if u2 < yy else 1 if u2 < yy + xx else 2
             assert (i[t], j[t], kind[t]) == (ii, jj, code), (name, t)
         if name == "tied-cumulative":
@@ -103,7 +104,7 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
     assert slots_used > 100
     assert len(records) == slots_used
 
-    i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+    i, j, kind = kernels.decode_meetings(*build_sampler(net), uniforms)
     ref = net.w0.copy()
     prev = ref.max() - ref.min()
     monotone = True
@@ -124,7 +125,7 @@ def test_gossip_chunk_equals_folded_apply_meeting(rng):
 
 def fold(net, uniforms, tol, record_every):
     """One replica from w0 at slot 0, slot by slot with ``apply_meeting``: (w, records, (slot, spread, monotone))."""
-    i, j, kind = kernels.decode_meetings(*build_sampler(net), net.x, net.y, uniforms)
+    i, j, kind = kernels.decode_meetings(*build_sampler(net), uniforms)
     w = net.w0.copy()
     spread = w.max() - w.min()
     monotone = True
@@ -195,7 +196,7 @@ def test_blocks_equal_the_exact_loop_and_the_fold(case):
     ws = [net.w0.tolist() for _ in range(group)]
     records = [[] for _ in range(group)]
     out = kernels.gossip_chunk(
-        ws, *build_sampler(net), net.x, net.y, float(net.delta), tol,
+        ws, *build_sampler(net), float(net.delta), tol,
         uniforms, 0, [spread0] * group, record_every, records,
     )
     if stops is not None:

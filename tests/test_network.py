@@ -1,16 +1,21 @@
 import collections
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import network_from_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from willingness_gossip.errors import NetworkFormatError, NotStronglyConnectedError
 from willingness_gossip.fixtures import barbell, bridged_clusters, complete, cycle, path, random_network
+from willingness_gossip.gossip import build_sampler
 from willingness_gossip.network import (
     MAX_N,
     AcquaintanceNetwork,
+    dense,
     diameter,
     edge_partition,
     parse_network,
@@ -38,13 +43,13 @@ def permute(net: AcquaintanceNetwork, perm) -> AcquaintanceNetwork:
     perm = np.asarray(perm)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(net.n)
-    return AcquaintanceNetwork(
+    return network_from_dense(
         n=net.n,
         delta=net.delta,
-        p=net.p[np.ix_(inv, inv)],
-        x=net.x[np.ix_(inv, inv)],
-        y=net.y[np.ix_(inv, inv)],
-        z=net.z[np.ix_(inv, inv)],
+        p=dense(net, net.p)[np.ix_(inv, inv)],
+        x=dense(net, net.x)[np.ix_(inv, inv)],
+        y=dense(net, net.y)[np.ix_(inv, inv)],
+        z=dense(net, net.z)[np.ix_(inv, inv)],
         w0=net.w0[inv],
     )
 
@@ -54,9 +59,10 @@ class TestParse:
         net = parse_network(INFLUENCER_PAIR_DOC)
         assert net.n == 2
         assert net.delta == 0.5
-        assert net.p[0, 1] == 1.0 and net.p[1, 0] == 1.0
-        assert net.x[0, 1] == 1.0
-        assert net.y[1, 0] == 1.0
+        assert (net.tails.tolist(), net.heads.tolist()) == ([0, 1], [1, 0])
+        assert net.p.tolist() == [1.0, 1.0]
+        assert net.x.tolist() == [1.0, 0.0]
+        assert net.y.tolist() == [0.0, 1.0]
         assert net.w0.tolist() == [0.0, 1.0]
 
     def test_missing_delta_names_field(self):
@@ -104,14 +110,14 @@ class TestParse:
 
     def test_round_trip_via_serialize(self, rng):
         lone = np.zeros((1, 1))
-        nets = [AcquaintanceNetwork(n=1, delta=0.25, p=lone, x=lone, y=lone, z=lone, w0=np.array([0.5]))]
+        nets = [network_from_dense(n=1, delta=0.25, p=lone, x=lone, y=lone, z=lone, w0=np.array([0.5]))]
         nets += [random_network(rng, n) for n in (3, 6, 9)]
         nets.append(random_network(rng, 500, extra_edge_prob=8 / 500))
         for net in nets:
             again = parse_network(serialize_network(net))
             assert validate_network(again).ok == (net.n > 1)  # one node has no meetings to sum to 1
             assert again.delta == net.delta
-            for name in ("p", "x", "y", "z", "w0"):
+            for name in ("tails", "heads", "p", "x", "y", "z", "w0"):
                 np.testing.assert_array_equal(getattr(again, name), getattr(net, name))
 
     @pytest.mark.parametrize(
@@ -155,12 +161,10 @@ class TestValidate:
         assert validate_network(influencer_pair).ok
 
     def test_self_meeting(self, influencer_pair):
-        p = influencer_pair.p.copy()
+        pair = influencer_pair
+        p, x, y, z = (dense(pair, col) for col in (pair.p, pair.x, pair.y, pair.z))
         p[0, 0] = 0.1
-        net = AcquaintanceNetwork(
-            n=2, delta=0.5, p=p, x=influencer_pair.x, y=influencer_pair.y,
-            z=influencer_pair.z, w0=influencer_pair.w0,
-        )
+        net = network_from_dense(n=2, delta=0.5, p=p, x=x, y=y, z=z, w0=pair.w0)
         report = validate_network(net)
         assert not report.ok
         assert any("self-meeting probability nonzero at node 0" in s for s in report.violations)
@@ -171,7 +175,7 @@ class TestValidate:
         p[0, 1] = p[1, 0] = 1.0
         p[2, 3] = p[3, 2] = 1.0
         y = (p > 0).astype(float)
-        net = AcquaintanceNetwork(n=4, delta=0.5, p=p, x=np.zeros((4, 4)), y=y, z=np.zeros((4, 4)), w0=np.zeros(4))
+        net = network_from_dense(n=4, delta=0.5, p=p, x=np.zeros((4, 4)), y=y, z=np.zeros((4, 4)), w0=np.zeros(4))
         report = validate_network(net)
         assert not report.ok
         assert any("not strongly connected" in s for s in report.violations)
@@ -180,7 +184,7 @@ class TestValidate:
         p = np.array([[0.0, 1.0], [1.0, 0.0]])
         z = np.array([[0.0, 1.0], [0.0, 0.0]])
         y = np.array([[0.0, 0.0], [1.0, 0.0]])
-        net = AcquaintanceNetwork(n=2, delta=0.5, p=p, x=np.zeros((2, 2)), y=y, z=z, w0=np.zeros(2))
+        net = network_from_dense(n=2, delta=0.5, p=p, x=np.zeros((2, 2)), y=y, z=z, w0=np.zeros(2))
         report = validate_network(net)
         assert not report.ok
         assert any("persistent-only edge (0, 1)" in s for s in report.violations)
@@ -188,27 +192,24 @@ class TestValidate:
     def test_row_sum_violation(self):
         p = np.array([[0.0, 0.9], [1.0, 0.0]])
         y = (p > 0).astype(float)
-        net = AcquaintanceNetwork(n=2, delta=0.5, p=p, x=np.zeros((2, 2)), y=y, z=np.zeros((2, 2)), w0=np.zeros(2))
+        net = network_from_dense(n=2, delta=0.5, p=p, x=np.zeros((2, 2)), y=y, z=np.zeros((2, 2)), w0=np.zeros(2))
         report = validate_network(net)
         assert any("sum to 0.9" in s for s in report.violations)
 
     def test_w0_out_of_range(self):
         net = barbell(2)
-        bad = AcquaintanceNetwork(
-            n=net.n, delta=net.delta, p=net.p, x=net.x, y=net.y, z=net.z,
-            w0=np.array([0.0, 0.5, 1.5, 1.0]),
-        )
+        bad = dataclasses.replace(net, w0=np.array([0.0, 0.5, 1.5, 1.0]))
         report = validate_network(bad)
         assert any("w0[2]" in s for s in report.violations)
 
     def test_non_finite_entries(self):
         net = barbell(2)
-        x = net.x.copy()
+        x = dense(net, net.x)
         x[0, 1] = np.nan
-        p = net.p.copy()
+        p = dense(net, net.p)
         p[2, 3] = np.inf
         w0 = np.array([0.0, np.nan, -np.inf, 1.0])
-        bad = AcquaintanceNetwork(n=net.n, delta=np.nan, p=p, x=x, y=net.y, z=net.z, w0=w0)
+        bad = network_from_dense(n=net.n, delta=np.nan, p=p, x=x, y=dense(net, net.y), z=dense(net, net.z), w0=w0)
         report = validate_network(bad)
         assert not report.ok
         for expected in ("non-finite p[2, 3]", "non-finite x[0, 1]", "non-finite w0[1] (2 ", "delta nan"):
@@ -239,7 +240,7 @@ class TestDiameter:
         p[1, 0] = 1.0
         p[2, 0] = 1.0  # node 2 unreachable
         y = (p > 0).astype(float)
-        net = AcquaintanceNetwork(n=3, delta=0.5, p=p, x=np.zeros((3, 3)), y=y, z=np.zeros((3, 3)), w0=np.zeros(3))
+        net = network_from_dense(n=3, delta=0.5, p=p, x=np.zeros((3, 3)), y=y, z=np.zeros((3, 3)), w0=np.zeros(3))
         with pytest.raises(NotStronglyConnectedError):
             diameter(net)
 
@@ -272,7 +273,8 @@ def plain_bfs(adj: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:
 def _graphs():
     """Each graph as (dense adjacency for ``plain_bfs``, tails, heads for ``reachable``)."""
     rng = np.random.default_rng(130)
-    connected = random_network(rng, 130, extra_edge_prob=8 / 130).p > 0.0
+    net = random_network(rng, 130, extra_edge_prob=8 / 130)
+    connected = dense(net, net.p) > 0.0
     sink = connected.copy()
     sink[7, :] = False  # node 7 meets no one
     sink[:, 3] = False  # no one meets node 3
@@ -356,3 +358,68 @@ def test_complete_graph_all_edges():
     net = complete(5)
     assert validate_network(net).ok
     assert net.edges[0].size == 20
+
+
+def _pair_columns(tails, heads):
+    """The columns of a network that lists the pairs (tails[e], heads[e]) of n = 3 nodes, each meeting for sure."""
+    ones, zeros = np.ones(len(tails)), np.zeros(len(tails))
+    return dict(n=3, delta=0.5, w0=np.zeros(3), tails=tails, heads=heads, p=ones, x=zeros, y=ones, z=zeros)
+
+
+@pytest.mark.parametrize(
+    "tails, heads, message",
+    [
+        ([1, 0, 2], [0, 1, 0], "row-major"),  # unsorted
+        ([0, 0, 1], [1, 2, 0], None),  # sorted and distinct: accepted
+        ([0, 1, 1], [1, 0, 0], "distinct"),  # (1, 0) repeats
+        ([0, 1, 3], [1, 0, 0], "out of range"),  # tail n
+        ([0, 1, 2], [1, 0, -1], "out of range"),  # negative head
+        ([0, 1, 2], [1, 0, 3], "out of range"),  # head n: its key 2n + 3 would pass the order check
+    ],
+)
+def test_constructor_refuses_unsorted_repeated_or_out_of_range_pairs(tails, heads, message):
+    if message is None:
+        AcquaintanceNetwork(**_pair_columns(tails, heads))
+        return
+    with pytest.raises(ValueError, match=message):
+        AcquaintanceNetwork(**_pair_columns(tails, heads))
+
+
+def test_constructor_refuses_columns_of_unequal_length():
+    columns = _pair_columns([0, 1, 2], [1, 2, 0])
+    with pytest.raises(ValueError, match="x must have shape"):
+        AcquaintanceNetwork(**{**columns, "x": [0.0, 0.0]})
+
+
+def test_listed_pair_without_meeting_is_validated_but_never_met():
+    """A listed pair with p = 0 and x = 7: validation reports it, and it is no edge, is not written, is never met."""
+    doc = json.loads(serialize_network(cycle(3)))
+    doc["edges"].append({"from": 0, "to": 0, "p": 0.0, "x": 7.0, "y": 0.0, "z": 0.0})
+    net = parse_network(json.dumps(doc))
+    assert (net.tails[0], net.heads[0], net.p[0], net.x[0]) == (0, 0, 0.0, 7.0)  # sorted first
+    assert validate_network(net).violations == ["interaction probability x out of [0, 1] at (0, 0)"]
+    ring = cycle(3)
+    for got, want in zip(net.edges, ring.edges):
+        np.testing.assert_array_equal(got, want)
+    assert serialize_network(net) == serialize_network(ring)
+    for got, want in zip(build_sampler(net), build_sampler(ring)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_max_n_ring_loads_in_memory_proportional_to_its_edges():
+    """Parse, validate, serialize and sample a valid MAX_N ring (10000 edges) within 64 MiB.
+
+    A dense n x n float matrix alone is 191 MiB at MAX_N.
+    """
+    text = serialize_network(cycle(MAX_N))
+    tracemalloc.start()
+    try:
+        net = parse_network(text)
+        assert validate_network(net).ok
+        serialize_network(net)
+        build_sampler(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.tails.size == 2 * MAX_N
+    assert peak < 64 * 2**20

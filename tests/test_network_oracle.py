@@ -4,14 +4,14 @@ Covers seeded random valid networks, bridged networks, supports that are
 deliberately not strongly connected, and the single-node network.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
+from conftest import network_from_dense
 
 from willingness_gossip.errors import NotStronglyConnectedError
 from willingness_gossip.fixtures import barbell, bridged_clusters, path, random_network
-from willingness_gossip.network import AcquaintanceNetwork, diameter, edge_partition, validate_network
-
-nx = pytest.importorskip("networkx")
+from willingness_gossip.network import AcquaintanceNetwork, dense, diameter, edge_partition, validate_network
 
 
 def on_support(support: np.ndarray) -> AcquaintanceNetwork:
@@ -21,7 +21,7 @@ def on_support(support: np.ndarray) -> AcquaintanceNetwork:
     sums = p.sum(axis=1, keepdims=True)
     p = np.divide(p, sums, out=np.zeros_like(p), where=sums > 0)
     zeros = np.zeros((n, n))
-    return AcquaintanceNetwork(n=n, delta=0.5, p=p, x=zeros, y=support.astype(float), z=zeros, w0=np.zeros(n))
+    return network_from_dense(n=n, delta=0.5, p=p, x=zeros, y=support.astype(float), z=zeros, w0=np.zeros(n))
 
 
 def _corpus():
@@ -39,7 +39,8 @@ def _corpus():
     halves[:3, :3] = halves[3:, 3:] = True
     np.fill_diagonal(halves, False)
     nets.append(("two-components", on_support(halves)))
-    sink = random_network(rng, 9).p > 0.0
+    net = random_network(rng, 9)
+    sink = dense(net, net.p) > 0.0
     sink[:, 4] = False  # nothing reaches node 4
     nets.append(("unreachable-node", on_support(sink)))
     for n, prob in ((4, 0.3), (8, 0.15), (15, 0.1), (25, 0.06), (40, 0.04)):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,7 +14,6 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.meanfield import build_mean_matrices, stationary_distribution
-from willingness_gossip.network import AcquaintanceNetwork
 from willingness_gossip.spectral import (
     bound_expectation,
     bound_l2,
@@ -100,7 +100,7 @@ class TestContractionConstants:
         base = path(3)
         z = np.where(base.p > 0, 0.4, 0.0)
         y = np.asarray(base.y) * 0.6
-        slowed = AcquaintanceNetwork(n=3, delta=0.5, p=base.p, x=base.x, y=y, z=z, w0=base.w0)
+        slowed = dataclasses.replace(base, y=y, z=z)
         psi_base, _ = theorem3_constants(base, build_mean_matrices(base).K)
         psi_slow, _ = theorem3_constants(slowed, build_mean_matrices(slowed).K)
         assert psi_slow < psi_base
