@@ -148,6 +148,10 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_slots < 0:
+        raise ValueError("max_slots must be >= 0")
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     # the blind blocks of kernels.gossip_chunk see an overflow only when 0 < delta < 1
     if not 0 < net.delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -275,11 +279,19 @@ def write_trace_csv(path: str, trace: SimulationTrace) -> None:
     """Trace export: one row per recorded slot, columns slot,node_*,spread.
 
     Values are written as ``repr`` of Python floats, which round-trip
-    exactly; ``tolist`` converts each array once instead of value by value.
+    exactly.  About half the cells repeat a value (an untouched node keeps
+    its value between records, and an averaged pair shares one), so one
+    sort of the snapshots' 64-bit patterns finds the distinct ones and
+    ``repr`` runs once per pattern.  Grouping by bits, not by value, keeps
+    0.0 and -0.0 apart, so every cell's bytes are ``repr(float(v))``.
     """
-    n = trace.snapshots.shape[1]
+    snapshots = np.ascontiguousarray(trace.snapshots, dtype=np.float64)
+    n = snapshots.shape[1]
+    distinct, index = np.unique(snapshots.view(np.uint64), return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
     lines = ["slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread"]
-    for slot, row, spread in zip(trace.slots.tolist(), trace.snapshots.tolist(), trace.spread.tolist()):
-        lines.append(f"{slot},{','.join(map(repr, row))},{spread!r}")
+    # the inverse's shape differs across numpy versions
+    for slot, row, spread in zip(trace.slots.tolist(), index.reshape(snapshots.shape), trace.spread.tolist()):
+        lines.append(f"{slot},{','.join([texts[i] for i in row.tolist()])},{spread!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

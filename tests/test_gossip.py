@@ -18,6 +18,7 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.gossip import (
+    SimulationTrace,
     apply_meeting,
     build_sampler,
     replica_seed,
@@ -250,6 +251,25 @@ class TestRunReplica:
         with pytest.raises(ValueError, match="delta"):
             simulate_ensemble(net, replicas=2, max_slots=100, seed=0)
 
+    @pytest.mark.parametrize("name, value", [("record_every", -3), ("max_slots", -1)])
+    def test_negative_record_step_or_budget_is_refused(self, name, value):
+        """Unrefused, record_every=-3 recorded only slot 0 and the end, and max_slots=-1 stopped every replica at slot 0."""
+        net = barbell(2)
+        with pytest.raises(ValueError, match=name):
+            run_replica(net, seed=0, **{name: value})
+        if name == "max_slots":
+            with pytest.raises(ValueError, match=name):
+                simulate_ensemble(net, replicas=3, max_slots=value)
+
+    def test_zero_record_step_and_budget_stay_valid(self):
+        net = barbell(2)
+        trace = run_replica(net, record_every=0, seed=0)
+        assert trace.converged and trace.slots.tolist() == [0, trace.slots_used]
+        idle = run_replica(net, max_slots=0, seed=0)
+        assert idle.slots.tolist() == [0] and idle.slots_used == 0 and not idle.converged
+        ens = simulate_ensemble(net, replicas=3, max_slots=0)
+        assert ens.converged_count == 0 and not ens.slots_used.any()
+
     def test_recorded_spread_follows_an_averaging_overflow(self):
         """Two values above DBL_MAX/2 average to inf: the spread is inf from that slot on."""
         net = complete(4, w0=[1.7e308, 1.6e308, 1.6e308, 0.0])
@@ -396,3 +416,76 @@ def test_trace_csv_bytes_equal_the_value_by_value_formula(tmp_path):
     out = tmp_path / "trace.csv"
     write_trace_csv(str(out), trace)
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _value_by_value_csv(trace):
+    """The trace file written cell by cell: ``repr(float(v))`` of every numpy value."""
+    n = trace.snapshots.shape[1]
+    lines = ["slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread"]
+    for row in range(trace.slots.shape[0]):
+        cells = [str(int(trace.slots[row]))]
+        cells.extend(repr(float(v)) for v in trace.snapshots[row])
+        cells.append(repr(float(trace.spread[row])))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_NAN_PAYLOAD = np.uint64(0x7FF8000000000001).view(np.float64)
+_NEGATIVE_NAN = np.copysign(np.nan, -1.0)
+_WIDE = np.random.default_rng(4).random((6, 9))
+
+
+@pytest.mark.parametrize(
+    "snapshots",
+    [
+        np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]),
+        np.array([[np.nan, _NAN_PAYLOAD, _NEGATIVE_NAN, 1.0], [_NEGATIVE_NAN, _NAN_PAYLOAD, np.nan, -1.0]]),
+        np.array([[np.inf, -np.inf, 5e-324, -5e-324], [5e-324, np.inf, 0.0, -np.inf]]),
+        np.array([[0.1, 0.2, 0.1], [0.2, 0.1, 0.3], [0.3, 0.3, 0.3]]),
+        _WIDE[::2, 1::3],
+        _WIDE[:4, :5].astype(np.float32),
+    ],
+    ids=["signed-zeros", "nan-payloads", "infinities-and-subnormals", "repeats-across-rows", "strided", "float32"],
+)
+def test_trace_csv_edge_values_equal_the_value_by_value_formula(tmp_path, snapshots):
+    """The export groups cells by bit pattern, so values that compare equal but print apart keep their own bytes."""
+    rows = snapshots.shape[0]
+    spread = np.array([-0.0, np.nan, 5e-324, 0.25, np.inf, 1e-310])[:rows]
+    trace = SimulationTrace(
+        slots=np.arange(rows, dtype=np.int64) * 7, snapshots=snapshots, spread=spread, final=snapshots[-1],
+        value=0.0, converged=False, slots_used=7 * (rows - 1), monotone=False, seed=0,
+    )
+    out = tmp_path / "trace.csv"
+    write_trace_csv(str(out), trace)
+    assert out.read_bytes() == _value_by_value_csv(trace)
+
+
+# sha256 of the export, recorded when every cell went through its own repr.
+@pytest.mark.parametrize(
+    "make, seed, digest",
+    [
+        (
+            lambda: random_network(np.random.default_rng(1), 200, 8 / 200), 23,
+            "47d980aa992b3f1c1bdb4e8f47b009324cb49cde1f27544b7841f5bc4a7adcc4",
+        ),
+        (lambda: barbell(4), 5, "0ffe2ebaa63aa7f6513802ff1e92a88cf76b2ff8cfed41ee08ce0d63e09934c4"),
+    ],
+    ids=["random-n200", "barbell-4"],
+)
+def test_trace_csv_bytes_are_pinned(tmp_path, make, seed, digest):
+    out = tmp_path / "trace.csv"
+    write_trace_csv(str(out), run_replica(make(), seed=replica_seed(seed, 0)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: random_network(np.random.default_rng(n), n, min(0.35, 8 / n)) for n in (2, 12, 50, 500)]
+    + [lambda: bridged_clusters(5, 6)],
+    ids=["random-n2", "random-n12", "random-n50", "random-n500", "bridged-5-6"],
+)
+def test_replica_trace_csv_equals_the_value_by_value_formula(tmp_path, make):
+    trace = run_replica(make(), seed=replica_seed(3, 0))
+    out = tmp_path / "trace.csv"
+    write_trace_csv(str(out), trace)
+    assert out.read_bytes() == _value_by_value_csv(trace)

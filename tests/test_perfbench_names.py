@@ -77,3 +77,16 @@ def test_traced_ensemble_counts_every_slot_it_draws(tracing):
     assert tracer.counts["gossip.slots_drawn"] >= sim["mean_slots"] * sim["replicas"] > 0
     # the draw counter reads the uniforms as the kernel's positional argument 8
     assert list(inspect.signature(kernels.gossip_chunk).parameters).index("uniforms") == 8
+
+
+def test_trace_write_records_one_span_and_every_row(tracing, tmp_path):
+    """The trace export's benchmark numbers come from one span per write and a row counter that matches the file."""
+    from willingness_gossip import fixtures, gossip
+
+    trace = gossip.run_replica(fixtures.barbell(4), seed=gossip.replica_seed(5, 0))
+    out = tmp_path / "trace.csv"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        gossip.write_trace_csv(str(out), trace)
+    assert [span[0] for span in tracer.spans] == ["gossip.trace_write"]
+    assert tracer.counts["gossip.trace_rows"] == len(out.read_text().splitlines()) - 1 == trace.slots.shape[0]
