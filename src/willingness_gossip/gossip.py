@@ -284,14 +284,17 @@ def write_trace_csv(path: str, trace: SimulationTrace) -> None:
     sort of the snapshots' 64-bit patterns finds the distinct ones and
     ``repr`` runs once per pattern.  Grouping by bits, not by value, keeps
     0.0 and -0.0 apart, so every cell's bytes are ``repr(float(v))``.
+    Each row keeps its own newline and goes to the file by ``writelines``:
+    one joined string of the whole file would be copied again when the
+    text layer encodes it.
     """
     snapshots = np.ascontiguousarray(trace.snapshots, dtype=np.float64)
     n = snapshots.shape[1]
     distinct, index = np.unique(snapshots.view(np.uint64), return_inverse=True)
     texts = list(map(repr, distinct.view(np.float64).tolist()))
-    lines = ["slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread"]
+    lines = ["slot," + ",".join(f"node_{k}" for k in range(n)) + ",spread\n"]
     # the inverse's shape differs across numpy versions
     for slot, row, spread in zip(trace.slots.tolist(), index.reshape(snapshots.shape), trace.spread.tolist()):
-        lines.append(f"{slot},{','.join([texts[i] for i in row.tolist()])},{spread!r}")
+        lines.append(f"{slot},{','.join([texts[i] for i in row.tolist()])},{spread!r}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)

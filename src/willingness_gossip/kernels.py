@@ -8,19 +8,19 @@ probabilities with +inf to one power-of-two width, so each partner is
 found by the same log2(width) steps of a fixed-step search (Khuong &
 Morin, ACM JEA 2017), run over all rows at once without a data-dependent
 loop.  It drops the persistent meetings, which change nothing, and applies
-the rest to each replica's willingness list, which Python indexes several
-times faster than a numpy array element by element.  Finding the slot
-where the spread reaches tol is the only reason to look at the values,
-and on finite values every meeting leaves both endpoints inside the old
-pair interval unless an average overflows, so the spread never grows.
-The loop therefore applies blocks of at least 4n meetings without
-tracking anything and takes the spread once per block; the block that
-ends at or below tol is bisected, one ``max(w) - min(w)`` per halving,
-down to the meeting that reaches it.  Values that are not finite, which
-validation refuses, go meeting by meeting.  Recording splits the chunk at
-the recorded slots instead of testing every slot.  The caller sizes each
-chunk to the slots a replica may still spend, so the kernel knows no
-budget.
+the rest, each as a regular/influence flag and its two endpoints, to each
+replica's willingness list, which Python indexes several times faster than
+a numpy array element by element.  Finding the slot where the spread
+reaches tol is the only reason to look at the values, and on finite values
+every meeting leaves both endpoints inside the old pair interval unless an
+average overflows, so the spread never grows.  The loop therefore applies
+blocks of at least 4n meetings without tracking anything and takes the
+spread once per block; the block that ends at or below tol is bisected,
+one ``max(w) - min(w)`` per halving, down to the meeting that reaches it.
+Values that are not finite, which validation refuses, go meeting by
+meeting.  Recording splits the chunk at the recorded slots instead of
+testing every slot.  The caller sizes each chunk to the slots a replica
+may still spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -74,14 +74,13 @@ def decode_meetings(table, partner, width, x, y, uniforms):
     the number of those two bounds that u2 reaches.  Returns three int64 arrays.
     """
     n = table.shape[0] // width
-    u1 = uniforms[:, 1]
-    u2 = uniforms[:, 2]
-    i = (uniforms[:, 0] * n).astype(np.int64)
+    u0, u1, u2 = uniforms.T.copy()
+    i = (u0 * n).astype(np.int64)
     np.minimum(i, n - 1, out=i)
     pos = i * width
     step = width >> 1
     while step:
-        pos += (table.take(pos + (step - 1)) <= u1) * step
+        pos += (table[step - 1 :].take(pos) <= u1) * step
         step >>= 1
     j = partner.take(pos).astype(np.int64)
     yy = y.take(pos)
@@ -142,19 +141,19 @@ def conductance_scan(K: np.ndarray) -> float:
 
 
 def _mix(w, meetings, delta):
-    """Apply meetings (code, i, j) to the list ``w``, tracking nothing.
+    """Apply meetings (regular, i, j) to the list ``w``, tracking nothing.
 
-    ``code`` is the slot the meeting completes, negated for an influence
+    ``regular`` is true for an averaging meeting and false for an influence
     meeting.  This is the kernel's one copy of the update rule, with
     ``gossip.apply_meeting``'s arithmetic: averaging sets both endpoints to
     their mean, influence moves the initiator toward the partner with
     retention delta, clamped into the pre-meeting pair interval.
     """
     keep = 1.0 - delta
-    for code, a, b in meetings:
+    for regular, a, b in meetings:
         wa = w[a]
         wb = w[b]
-        if code > 0:
+        if regular:
             w[a] = w[b] = 0.5 * (wa + wb)
             continue
         v = delta * wa + keep * wb
@@ -170,10 +169,11 @@ def _mix(w, meetings, delta):
         w[a] = v
 
 
-def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, spread, monotone):
+def _segment(w, regular, i_all, j_all, lo, hi, block, delta, tol, spread, monotone):
     """Apply the meetings in rows lo:hi of the lists to ``w`` until its spread reaches tol.
 
-    Returns (the slot where the spread reached tol, or 0; spread; monotone).
+    Returns (1 + the list row of the meeting that reached tol, or 0;
+    spread; monotone); ``gossip_chunk`` maps that row to its slot.
     While ``spread`` is finite, so is every value, and each run of
     ``block`` meetings goes through ``_mix`` with the spread taken once, at
     its end.  A meeting of finite values leaves both endpoints inside the
@@ -194,7 +194,7 @@ def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, spread, monotone
         end = min(lo + block, hi)
         if spread < np.inf:
             saved = w.copy()
-            _mix(w, zip(codes[lo:end], i_all[lo:end], j_all[lo:end]), delta)
+            _mix(w, zip(regular[lo:end], i_all[lo:end], j_all[lo:end]), delta)
             s = max(w) - min(w)
             if tol < s <= spread:
                 spread = s
@@ -205,20 +205,20 @@ def _segment(w, codes, i_all, j_all, lo, hi, block, delta, tol, spread, monotone
                 while end - lo > 1:
                     mid = (lo + end) // 2
                     saved = w.copy()
-                    _mix(w, zip(codes[lo:mid], i_all[lo:mid], j_all[lo:mid]), delta)
+                    _mix(w, zip(regular[lo:mid], i_all[lo:mid], j_all[lo:mid]), delta)
                     if max(w) - min(w) > tol:
                         lo = mid
                     else:
                         w[:] = saved
                         end = mid
         for k in range(lo, end):
-            _mix(w, ((codes[k], i_all[k], j_all[k]),), delta)
+            _mix(w, ((regular[k], i_all[k], j_all[k]),), delta)
             s = float("nan") if any(v != v for v in w) else max(w) - min(w)
             if s > spread:
                 monotone = False
             spread = s
             if spread <= tol:
-                return abs(codes[k]), spread, monotone
+                return k + 1, spread, monotone
         lo = end
     return 0, spread, monotone
 
@@ -233,32 +233,30 @@ def gossip_chunk(
     value is NaN), all above tol.  ``uniforms`` holds ``count`` rows per
     replica, one per slot, replica q's in the q-th block of ``count`` rows;
     one ``decode_meetings`` call decodes the whole group from the padded
-    meeting table ``(table, partner, width, x, y)``.  Averaging sets both
-    endpoints to their mean; influence moves the initiator toward the
-    partner with retention delta, clamped into the pre-meeting pair
-    interval so the spread is exactly non-increasing in floating point
+    meeting table ``(table, partner, width, x, y)``.  The update rule
+    (``_mix``) keeps the spread exactly non-increasing in floating point
     unless an average overflows.  Persistent meetings change nothing, so
-    only the others reach the slot loop (``_segment``), each with the slot
-    it completes.
+    only the others reach the slot loop (``_segment``), as three lists: a
+    bool that is true for a regular meeting, the initiator and the partner.
 
     A replica stops at the slot where its spread drops to tol.  The loop
     applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and takes
     the spread at each block's end; the block where it reaches tol is
-    bisected down to the meeting that reaches it, so the stop slot, the
-    spread and ``monotone`` are those of a slot-by-slot check.  A replica
-    whose spread is not finite (its values hold a NaN or an infinity) runs
-    meeting by meeting (``_segment``).  With ``record_every`` > 0, replica
-    q appends ``(slot, spread, w.copy())`` to ``records[q]`` at every slot
-    that is a multiple of it: the loop runs from one such slot to the next
-    and never tests for them.  Returns one (slot, spread, monotone) per
-    replica, where monotone is false if the spread ever grew.
+    bisected down to the meeting that reaches it, and that meeting's row
+    gives the stop slot.  The stop slot, the spread and ``monotone`` are
+    those of a slot-by-slot check.  A replica whose spread is not finite
+    (its values hold a NaN or an infinity) runs meeting by meeting
+    (``_segment``).  With ``record_every`` > 0, replica q appends
+    ``(slot, spread, w.copy())`` to ``records[q]`` at every slot that is a
+    multiple of it: the loop runs from one such slot to the next and never
+    tests for them.  Returns one (slot, spread, monotone) per replica,
+    where monotone is false if the spread ever grew.
     """
     group = len(ws)
     count = uniforms.shape[0] // group
     i, j, kind = decode_meetings(table, partner, width, x, y, uniforms)
     rows = np.flatnonzero(kind != KIND_PERSISTENT)
-    done = rows % count + (slot + 1)
-    codes = np.where(kind[rows] == KIND_REGULAR, done, -done).tolist()
+    regular = (kind[rows] == KIND_REGULAR).tolist()
     i_all = i[rows].tolist()
     j_all = j[rows].tolist()
     end = slot + count
@@ -273,8 +271,9 @@ def gossip_chunk(
         spread = spreads[q]
         monotone = True
         for mark, cut in zip(marks + [0], cuts[q]):
-            stop, spread, monotone = _segment(w, codes, i_all, j_all, lo, cut, block, delta, tol, spread, monotone)
+            stop, spread, monotone = _segment(w, regular, i_all, j_all, lo, cut, block, delta, tol, spread, monotone)
             if stop:
+                stop = int(rows[stop - 1]) % count + slot + 1
                 break
             if mark:
                 records[q].append((mark, spread, w.copy()))

@@ -29,9 +29,12 @@ def drive(net, uniforms, tol=1e-9, group=1):
     return list(zip(ws, records, out))
 
 
-def _ring():
-    """Every node meets only its successor (degree 1: width 1, a search of no steps), all three kinds."""
-    p = np.roll(np.eye(6), 1, axis=1)
+def _ring(*shifts):
+    """Node k meets node k + s for each shift s, with equal weights: degree len(shifts), all three kinds.
+
+    One shift gives width 1, a search of no steps; two give width 2, a search of one step.
+    """
+    p = sum(np.roll(np.eye(6), s, axis=1) for s in shifts) / len(shifts)
     return network_from_dense(n=6, delta=0.3, p=p, x=0.3 * p, y=0.5 * p, z=0.2 * p, w0=np.linspace(0.0, 1.0, 6))
 
 
@@ -44,13 +47,15 @@ def _tied_cumulative():
 
 
 def test_decode_meetings_matches_per_row_searchsorted():
-    # (name, network, largest degree): widths 32, 1, 16, 32, 16 and 8
+    # (name, network, largest degree): widths 32, 1, 2, 16, 32, 16, 64 and 8
     nets = [
         ("random-n30", random_network(np.random.default_rng(20260810), 30, extra_edge_prob=0.6), 23),
-        ("ring", _ring(), 1),
+        ("ring", _ring(1), 1),
+        ("two-way-ring", _ring(1, -1), 2),
         ("max-degree-16", random_network(np.random.default_rng(2), 30, extra_edge_prob=0.35), 16),
         ("max-degree-17", random_network(np.random.default_rng(1), 30, extra_edge_prob=0.4), 17),
         ("complete-n12", random_network(np.random.default_rng(5), 12, extra_edge_prob=1.0), 11),
+        ("complete-n40", random_network(np.random.default_rng(6), 40, extra_edge_prob=1.0), 39),
         ("tied-cumulative", _tied_cumulative(), 7),
     ]
     for name, net, max_degree in nets:
@@ -208,6 +213,31 @@ def test_blocks_equal_the_exact_loop_and_the_fold(case):
         assert repr((ws[q], records[q], out[q])) == repr(ref)
     if case == "overflow-grows-the-spread":
         assert not out[0][2]
+
+
+@pytest.mark.parametrize("record_every", [0, 1, NET50.n])
+def test_stop_slot_counts_from_the_starting_slot_in_each_replicas_rows(record_every):
+    """A group of 3 entering at slot 3 * 4n: each stop slot is its row within the replica's block plus the start.
+
+    Replicas 1 and 2 reach tol inside the chunk, at rows past ``count`` of the
+    group's decoded rows, and replica 0 runs to the chunk's end.
+    """
+    start = 3 * 4 * NET50.n
+    count = 1100
+    uniforms = np.vstack([_uniforms(seed, count) for seed in (6, 5, 8)])
+    tol = 2e-3
+    spread0 = float(NET50.w0.max() - NET50.w0.min())
+    ws = [NET50.w0.tolist() for _ in range(3)]
+    records = [[], [], []]
+    out = kernels.gossip_chunk(
+        ws, *build_sampler(NET50), float(NET50.delta), tol,
+        uniforms, start, [spread0] * 3, record_every, records,
+    )
+    assert out[0][0] == start + count and start < out[1][0] < start + count and start < out[2][0] < start + count
+    for q in range(3):
+        w, ref_records, (stop, spread, monotone) = fold(NET50, uniforms[q * count : (q + 1) * count], tol, record_every)
+        shifted = [(start + s, v, rec) for s, v, rec in ref_records]
+        assert repr((ws[q], records[q], out[q])) == repr((w, shifted, (start + stop, spread, monotone)))
 
 
 def test_chunk_stops_at_the_slot_where_spread_reaches_tol(regular_pair):
