@@ -226,7 +226,7 @@ def render_impact_csv(report: ImpactReport) -> str:
     """Impact table: node, exact, thm5, thm5_residual, thm6, thm7_bound, rank, tier."""
     by_node = {r.node: r for r in report.ranking}
     thm7_cell = repr(float(report.thm7_bound)) if report.thm7_bound is not None else ""
-    lines = ["node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier"]
+    lines = ["node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier\n"]
     for k in range(report.exact.shape[0]):
         thm6_cell = repr(float(report.thm6.values[k])) if report.thm6 is not None else ""
         lines.append(
@@ -239,8 +239,8 @@ def render_impact_csv(report: ImpactReport) -> str:
                     thm6_cell,
                     thm7_cell,
                     str(by_node[k].rank),
-                    by_node[k].tier,
+                    by_node[k].tier + "\n",
                 ]
             )
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)

@@ -1,13 +1,18 @@
 """Analysis report assembly and deterministic serialization.
 
-Reports serialize to JSON with sorted keys and floats rounded to at most
-12 significant digits (shortest round-trip decimal of the rounded value),
-so identical configurations produce byte-identical files.
+``analyze`` builds the report payload: a dict of sections, each a
+one-level dict whose values may be numpy arrays and the builders'
+dataclasses, none of them copied.  ``render_json`` is the one
+serializer.  It writes the payload in a single walk, with sorted keys, a
+two-space indent and floats rounded to at most 12 significant digits
+(shortest round-trip decimal of the rounded value), so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,29 +60,101 @@ def _fmt(value):
     return float(f"{v:.12g}")
 
 
-def _jsonify(obj):
-    if obj is None or isinstance(obj, (str, int, bool)):
-        return obj
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        items = sorted(obj) if isinstance(obj, (frozenset, set)) else obj
-        return [_jsonify(v) for v in items]
-    if dataclasses.is_dataclass(obj):
-        return _jsonify(dataclasses.asdict(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+@functools.cache
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """A dataclass's field names, sorted, each with its encoded JSON key."""
+    return tuple((name, _encode_str(name) + ": ") for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _float_text(value) -> str:
+    """A float's JSON text: its ``_fmt`` value, or null when it is not finite."""
+    v = _fmt(value)
+    return "null" if v is None else repr(v)
+
+
+def _write(obj, put, newline: str) -> None:
+    """Append ``obj``'s JSON text through ``put``.
+
+    ``newline`` is a line break plus the indent of the line that ``obj``
+    starts on; nested items go two spaces deeper.  Module-level, and
+    handed ``put`` rather than closing over it, so that a render leaves
+    no reference cycle behind.
+    """
+    if obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, str):
+        put(_encode_str(obj))
+    elif isinstance(obj, (float, np.floating)):
+        put(_float_text(obj))
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, np.integer):
+        put(repr(int(obj)))
+    elif isinstance(obj, np.ndarray) and obj.ndim:  # a 0-d array is refused below
+        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:  # the common case, without a call per item
+            inner = newline + "  "
+            put("[" + inner + ("," + inner).join(map(_float_text, obj.tolist())) + newline + "]")
+        else:
+            _write_list(obj.tolist(), put, newline)
+    elif isinstance(obj, dict):
+        keyed = {str(k): v for k, v in obj.items()}
+        _write_fields([(k, _encode_str(k) + ": ") for k in sorted(keyed)], keyed.__getitem__, put, newline)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, put, newline)
+    elif isinstance(obj, (frozenset, set)):
+        _write_list(sorted(obj), put, newline)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write_fields(_field_keys(type(obj)), obj.__getattribute__, put, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _write_list(items, put, newline: str) -> None:
+    """A JSON array, one item per line."""
+    if not items:
+        put("[]")
+        return
+    inner = newline + "  "
+    sep, comma = "[" + inner, "," + inner
+    for value in items:
+        put(sep)
+        _write(value, put, inner)
+        sep = comma
+    put(newline + "]")
+
+
+def _write_fields(keys, get, put, newline: str) -> None:
+    """A JSON object of (name, encoded key) pairs, one member per line; ``get`` maps a name to its value."""
+    if not keys:
+        put("{}")
+        return
+    inner = newline + "  "
+    sep, comma = "{" + inner, "," + inner
+    for name, key in keys:
+        put(sep + key)
+        _write(get(name), put, inner)
+        sep = comma
+    put(newline + "}")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    """The payload as JSON: keys sorted, two-space indent, floats through ``_fmt``, non-finite as null."""
+    parts: list[str] = []
+    _write(payload, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _fields(value) -> dict:
+    """A dataclass's fields as a one-level dict; the values are not copied."""
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 def _solve(net: AcquaintanceNetwork):
@@ -140,19 +217,24 @@ def _verdicts(spectral: SpectralReport, impact: ImpactReport) -> dict:
 def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, ImpactReport | None]:
     """Run the full analysis pipeline.
 
-    Returns (report payload, ok flag, impact report object).  Each section
-    (stationary, spectral, impact, simulation) fails independently: an
-    exception is recorded as {"failed": reason} for that section, leaving
-    the rest of the report intact.  Without a stationary distribution the
-    spectral and impact sections, and the simulation when replicas were
-    requested, fail with "stationary distribution unavailable"; the
-    verdicts need both spectral and impact.  ``simulation`` is None only
-    when ``config.replicas`` is 0.  ok is False exactly when some section
-    failed.
+    Returns (report payload, ok flag, impact report object).  Every
+    section is a one-level dict: the fields of its builder's result, or
+    the section's own keys.  Numpy arrays and nested dataclasses
+    (``ClientRank``, ``Thm6Result``) are left as they are, uncopied, for
+    ``render_json`` to write.
+
+    Each section (stationary, spectral, impact, simulation) fails
+    independently: an exception is recorded as {"failed": reason} for
+    that section, leaving the rest of the report intact.  Without a
+    stationary distribution the spectral and impact sections, and the
+    simulation when replicas were requested, fail with "stationary
+    distribution unavailable"; the verdicts need both spectral and
+    impact.  ``simulation`` is None only when ``config.replicas`` is 0.
+    ok is False exactly when some section failed.
     """
     payload: dict = {
         "version": FORMAT_VERSION,
-        "config": dataclasses.asdict(config),
+        "config": _fields(config),
         "network": {
             "n": net.n,
             "edges": net.edges[0].size,
@@ -162,7 +244,7 @@ def analyze(net: AcquaintanceNetwork, config: RunConfig) -> tuple[dict, bool, Im
         "simulation": None,
     }
 
-    def run(name, build, render=dataclasses.asdict):
+    def run(name, build, render=_fields):
         # The builders are looked up as module globals at call time:
         # perfbench wraps them by their names in this module.
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from willingness_gossip.fixtures import two_node_influencer, two_node_regular
 from willingness_gossip.gossip import build_sampler
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, decode_meetings
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, serialize_network
+from willingness_gossip.report import _fmt
 
 
 def network_from_dense(n, delta, p, x, y, z, w0) -> AcquaintanceNetwork:
@@ -115,10 +117,43 @@ def _reference_parse_network(text: str) -> AcquaintanceNetwork:
     )
 
 
+def _reference_jsonify(obj):
+    """``obj`` as plain JSON values: str keys, lists for arrays and sets, floats through ``_fmt``."""
+    if obj is None or isinstance(obj, (str, int, bool)):
+        return obj
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, (np.floating,)):
+        return _fmt(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, frozenset, set)):
+        items = sorted(obj) if isinstance(obj, (frozenset, set)) else obj
+        return [_reference_jsonify(v) for v in items]
+    if dataclasses.is_dataclass(obj):
+        return _reference_jsonify(dataclasses.asdict(obj))
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _reference_render_json(payload) -> str:
+    """The two-pass report renderer: the bytes ``report.render_json`` must write."""
+    return json.dumps(_reference_jsonify(payload), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.fixture(scope="session")
 def reference_parse_network():
     """The per-edge network parser, as a function (text) -> AcquaintanceNetwork."""
     return _reference_parse_network
+
+
+@pytest.fixture(scope="session")
+def reference_render_json():
+    """The two-pass report renderer, as a function (payload) -> str."""
+    return _reference_render_json
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -280,3 +281,23 @@ def test_impact_section_schema(make_net, reason):
         assert impact["thm6"]["edge"] == [1, 2] and impact["thm6"]["residual"] <= 1e-12
     else:
         assert impact["thm6"] is None
+
+
+# sha256 of each network's impact CSV: the bytes, every value's repr included, are pinned.
+CSV_SHA256 = {
+    "random-n500": "ab6afe5d141db268262f4f8f4934d8985d210f1be3dab024b9fe841f8a5ab239",
+    "bridged-5-6": "eccdd2131725de994dbcb51f23993fc6479c6bf476f2df840eca8206eec88b87",
+}
+
+
+@pytest.mark.parametrize(
+    "label, make_net",
+    [
+        ("random-n500", lambda: random_network(np.random.default_rng(1), 500, extra_edge_prob=8 / 500)),
+        ("bridged-5-6", lambda: bridged_clusters(5, 6, influence=0.5)),
+    ],
+)
+def test_csv_bytes_are_pinned(label, make_net):
+    _, ok, report = analyze(make_net(), RunConfig(command="analyze", network="mem", replicas=0))
+    assert ok and (report.thm6 is not None) == label.startswith("bridged")
+    assert hashlib.sha256(render_impact_csv(report).encode("utf-8")).hexdigest() == CSV_SHA256[label]

@@ -1,0 +1,108 @@
+"""``report.render_json`` against the two-pass reference renderer, byte for byte."""
+
+import gc
+import math
+
+import numpy as np
+import pytest
+from test_network_oracle import CORPUS
+
+from willingness_gossip import report
+from willingness_gossip.errors import NumericalError
+from willingness_gossip.fixtures import bridged_clusters, random_network, two_node_influencer
+from willingness_gossip.report import RunConfig, analyze, render_json
+
+
+def payload_of(net, replicas, network="mem"):
+    return analyze(net, RunConfig(command="analyze", network=network, replicas=replicas))[0]
+
+
+@pytest.mark.parametrize("replicas", [0, 3])
+@pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[label for label, _ in CORPUS])
+def test_corpus_reports_match_reference(reference_render_json, net, replicas):
+    payload = payload_of(net, replicas)
+    assert render_json(payload) == reference_render_json(payload)
+
+
+@pytest.mark.parametrize("replicas", [0, 3])
+def test_bridge_closed_form_report_matches_reference(reference_render_json, replicas):
+    payload = payload_of(bridged_clusters(5, 6, influence=0.5), replicas)
+    assert payload["impact"]["thm6"] is not None
+    assert render_json(payload) == reference_render_json(payload)
+
+
+@pytest.mark.parametrize("builder", ["stationary_distribution", "build_spectral_report", "build_impact_report", "simulate_ensemble"])
+def test_failed_sections_match_reference(reference_render_json, monkeypatch, builder):
+    def fail(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(report, builder, fail)
+    payload = payload_of(two_node_influencer(), 3)
+    assert any(isinstance(section, dict) and "failed" in section for section in payload.values())
+    assert render_json(payload) == reference_render_json(payload)
+
+
+EDGE_VALUES = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "negative zero": -0.0,
+    "subnormal": 5e-324,
+    "above 2**53": 2**53 + 1,
+    "float32": np.float32(0.1),
+    "int64": np.int64(-7),
+    "empty list": [],
+    "empty dict": {},
+    "empty array": np.array([]),
+    "float array with nan": np.array([1.0, math.nan, -math.inf, 1 / 3]),
+    "float32 array": np.array([0.1, 2.5], dtype=np.float32),
+    "int matrix": np.arange(6).reshape(2, 3),
+    "bool array": np.array([True, False]),
+    "tuple": (1, 2.5, "a"),
+    "frozenset": frozenset({3, 1, 2}),
+    "int keys": {10: "ten", 9: "nine", 1: [True, False, None]},
+    "nested": {"b": [{"z": (), "a": {}}], "a": [[]]},
+}
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+def test_edge_values_match_reference(reference_render_json, value):
+    payload = {"value": value, "list": [value], "dict": {"k": value}}
+    assert render_json(payload) == reference_render_json(payload)
+
+
+def test_int_keys_sort_as_strings():
+    assert render_json({10: 0, 9: 0}).index('"10"') < render_json({10: 0, 9: 0}).index('"9"')
+
+
+def test_non_ascii_network_name_matches_reference(reference_render_json):
+    payload = payload_of(two_node_influencer(), 0, network="réseau/\x07ü☃.json")
+    text = render_json(payload)
+    assert text == reference_render_json(payload)
+    assert text.isascii() and '"r\\u00e9seau/\\u0007\\u00fc\\u2603.json"' in text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), 1 + 2j, np.bool_(True), np.array(0.0), np.array([1j])],
+    ids=["object", "complex", "np.bool_", "0-d array", "complex array"],
+)
+def test_unserializable_values_raise_type_error(reference_render_json, value):
+    with pytest.raises(TypeError):
+        reference_render_json({"value": value})
+    with pytest.raises(TypeError):
+        render_json({"value": value})
+
+
+def test_render_leaves_no_cyclic_garbage():
+    payload = payload_of(random_network(np.random.default_rng(1), 50, extra_edge_prob=8 / 50), 3)
+    render_json(payload)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        render_json(payload)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
