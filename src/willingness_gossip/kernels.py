@@ -29,7 +29,11 @@ table per block holds each of its subsets' size and cut inside the block;
 one matrix product per row block of about 2^15 subsets adds the cut across
 the blocks, with inner dimension 2|H| + 2 <= 22, so each subset costs O(n)
 work.  Every cut stays a sum of nonnegative entries of K, which keeps
-small cuts accurate to a few ulps.
+small cuts accurate to a few ulps.  The high table's columns run in order
+of subset size, so each block reduces to the smallest cut of each size,
+and only the n - 1 per-size minima are divided by |A| (n - |A|).  That is
+the same float as dividing every cut, because rounded multiplication and
+division by a positive number never decrease as the cut grows.
 """
 
 from __future__ import annotations
@@ -103,10 +107,13 @@ def conductance_scan(K: np.ndarray) -> float:
     """Exact conductance: min of n * cut(A) / (|A| (n - |A|)) over all proper A containing node 0.
 
     Row r of the low table is the subset of P with node 0 and the nodes
-    whose bits r sets; column c of the high table is the subset of H that
-    c's bits set.  The cut of (r, c) is entry (r, c) of
+    whose bits r sets; the columns of the high table are the subsets of H,
+    in stable order of size.  The cut of (r, c) is entry (r, c) of
     ``[M_P K_PH | (1-M_P) K_HP^T | cut_P | 1] @ [(1-M_H) | M_H | 1 | cut_H]^T``,
-    a sum of products of nonnegative factors.
+    a sum of products of nonnegative factors.  The scan keeps the smallest
+    cut of each size k and divides once per size: ``fl(n c)`` and
+    ``fl(fl(n c) / d)`` never decrease as c grows, so the smallest cut of a size
+    gives exactly its smallest ratio.
     """
     n = K.shape[0]
     h = (n + 1) // 2
@@ -118,26 +125,29 @@ def conductance_scan(K: np.ndarray) -> float:
         _inner_cut(low, K[:h, :h])[:, None],
         np.ones((low.shape[0], 1)),
     ])
+    low_size = low.sum(axis=1).astype(np.int64)
+    high_size = high.sum(axis=1).astype(np.int64)
+    by_size = np.argsort(high_size, kind="stable")
     right = np.hstack([
         1.0 - high,
         high,
         np.ones((high.shape[0], 1)),
         _inner_cut(high, K[h:, h:])[:, None],
-    ]).T
-    low_size = low.sum(axis=1).astype(np.int64)
-    high_size = high.sum(axis=1).astype(np.int64)
-    sizes = np.arange(n + 1)
-    # |A| (n - |A|) by size; the full set (last row, last column: size n, cut 0) is masked below
-    denom = np.maximum(sizes * (n - sizes), 1.0)
+    ])[by_size].T
+    groups = np.arange(n - h + 1)
+    group_start = np.searchsorted(high_size[by_size], groups)
+    cut = np.full(n + 1, np.inf)  # smallest cut by subset size; size n, the full set, is never read
     rows = max(1, (1 << 15) >> (n - h))  # about 2^15 subsets per block
-    best = np.inf
     for start in range(0, len(left), rows):
         block = slice(start, start + rows)
-        ratios = n * (left[block] @ right) / denom[low_size[block, None] + high_size]
-        if start + rows >= len(left):
-            ratios[-1, -1] = np.inf
-        best = min(best, float(ratios.min()))
-    return best
+        # Size group g of the high table holds C(n - h, g) >= 1 columns, so
+        # reduceat never meets an empty group (it would return the entry at
+        # the group's start, not +inf).  Keep the product's shape: BLAS may
+        # round an entry differently in the last bit when the shape changes.
+        group_min = np.minimum.reduceat(left[block] @ right, group_start, axis=1)
+        np.minimum.at(cut, low_size[block, None] + groups, group_min)
+    k = np.arange(1, n)
+    return float((n * cut[1:n] / (k * (n - k))).min())
 
 
 def _mix(w, meetings, delta):

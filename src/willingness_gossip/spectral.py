@@ -128,6 +128,9 @@ def conductance(K: np.ndarray, mode: str = "exact") -> float | None:
     ``kernels.conductance_scan`` splits the nodes into two halves and
     builds each subset's cut from two half tables and one cross product,
     O(n) work per subset; every cut is a sum of nonnegative entries of K.
+    It keeps the smallest cut of each subset size and divides only those
+    n - 1 minima, which gives the same float as dividing every cut, since
+    rounding preserves the order of cuts of one size.
     Refuses above n = 20; pass mode="skip" to omit the value.
     """
     if mode == "skip":

@@ -144,6 +144,52 @@ def _reference_render_json(payload) -> str:
     return json.dumps(_reference_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _reference_conductance_scan(K) -> float:
+    """The blockwise-divide conductance scan: the value ``kernels.conductance_scan`` must return bit for bit.
+
+    The same half tables and ``left[block] @ right`` products as the kernel,
+    with the high table in binary order; every entry of each block is
+    divided by its own gathered ``|A| (n - |A|)`` and the full set is masked.
+    """
+    n = K.shape[0]
+    h = (n + 1) // 2
+
+    def masks(bits):
+        idx = np.arange(1 << bits)
+        return ((idx[:, None] >> np.arange(bits)) & 1).astype(np.float64)
+
+    def inner_cut(m, KK):
+        return ((m @ KK) * (1.0 - m)).sum(axis=1)
+
+    low = np.hstack([np.ones((1 << (h - 1), 1)), masks(h - 1)])
+    high = masks(n - h)
+    left = np.hstack([
+        low @ K[:h, h:],
+        (1.0 - low) @ K[h:, :h].T,
+        inner_cut(low, K[:h, :h])[:, None],
+        np.ones((low.shape[0], 1)),
+    ])
+    right = np.hstack([
+        1.0 - high,
+        high,
+        np.ones((high.shape[0], 1)),
+        inner_cut(high, K[h:, h:])[:, None],
+    ]).T
+    low_size = low.sum(axis=1).astype(np.int64)
+    high_size = high.sum(axis=1).astype(np.int64)
+    sizes = np.arange(n + 1)
+    denom = np.maximum(sizes * (n - sizes), 1.0)
+    rows = max(1, (1 << 15) >> (n - h))
+    best = np.inf
+    for start in range(0, len(left), rows):
+        block = slice(start, start + rows)
+        ratios = n * (left[block] @ right) / denom[low_size[block, None] + high_size]
+        if start + rows >= len(left):
+            ratios[-1, -1] = np.inf
+        best = min(best, float(ratios.min()))
+    return best
+
+
 @pytest.fixture(scope="session")
 def reference_parse_network():
     """The per-edge network parser, as a function (text) -> AcquaintanceNetwork."""
@@ -154,6 +200,12 @@ def reference_parse_network():
 def reference_render_json():
     """The two-pass report renderer, as a function (payload) -> str."""
     return _reference_render_json
+
+
+@pytest.fixture(scope="session")
+def reference_conductance_scan():
+    """The blockwise-divide conductance scan, as a function (K) -> float."""
+    return _reference_conductance_scan
 
 
 @pytest.fixture()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from willingness_gossip.fixtures import (
     barbell,
@@ -237,6 +239,39 @@ class TestConductance:
         # a cut taken as a difference of large sums cancels to ~1e-14 here
         K = build_mean_matrices(net).K
         assert conductance(K) == pytest.approx(brute_force_conductance(K), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "net",
+        [random_network(np.random.default_rng(n), n) for n in range(2, 21)]
+        + [bridged_clusters(i, j, influence=0.5, delta=0.3) for i, j in ((7, 12), (8, 11), (9, 10), (10, 9))]
+        + [barbell(5), bridged_clusters(5, 5, influence=0.5), bridged_clusters(6, 6, influence=0.3, delta=0.2)],
+        ids=[f"random{n}" for n in range(2, 21)]
+        + ["bridged7+12", "bridged8+11", "bridged9+10", "bridged10+9", "barbell5", "bridged5x5", "bridged6x6"],
+    )
+    def test_equals_reference_scan_exactly(self, net, reference_conductance_scan):
+        # per-size minima, one division per size: the same float as dividing every cut
+        K = build_mean_matrices(net).K
+        assert conductance(K) == reference_conductance_scan(K)
+
+    def test_uniform_ties_equal_reference_scan_exactly(self, reference_conductance_scan):
+        # every subset of a size has the same cut up to rounding
+        K = np.full((20, 20), 1.0 / 20.0)
+        assert conductance(K) == reference_conductance_scan(K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+    @example(n=2, seed=0, tied=False)  # the low table holds a single subset, the high one a single node
+    @example(n=3, seed=0, tied=False)  # the high table holds a single node
+    @example(n=2, seed=0, tied=True)
+    @example(n=3, seed=0, tied=True)
+    def test_property_equals_reference_scan_exactly(self, n, seed, tied, reference_conductance_scan):
+        rng = np.random.default_rng(seed)
+        if tied:
+            # few distinct entries, many zeros: ties and zero cuts within a size
+            K = rng.integers(0, 3, size=(n, n)) / 8.0
+        else:
+            K = build_mean_matrices(random_network(rng, n, extra_edge_prob=float(rng.uniform(0.0, 1.0)))).K
+        assert conductance(K) == reference_conductance_scan(K)
 
     def test_matches_brute_force_every_small_n(self):
         # n = 2 and 3 leave a half block with a single node or subset
