@@ -35,7 +35,8 @@ class SimulationTrace:
     ``slots``/``snapshots``/``spread`` hold the recorded states (slot 0 is
     always included, the final state always last); ``final`` is the last
     willingness vector; ``value`` its arithmetic mean, the replica's
-    converged common value when ``converged`` is set.
+    converged common value when ``converged`` is set.  ``monotone`` is
+    true when no recorded spread is greater than the one before it.
     """
 
     slots: np.ndarray
@@ -143,8 +144,11 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     not depend on how they are drawn in blocks, so each replica's meetings
     do not depend on the rounds or the groups.
 
+    Raises ``ValueError`` unless every ``|w0| <= DBL_MAX/2``, which also
+    refuses NaN: then ``a + b`` and ``delta a + (1 - delta) b`` stay within
+    +-DBL_MAX, so no meeting overflows and the spread never grows.
     ``records`` is None, or one list per replica for the kernel's records.
-    Returns each replica's (willingness list, slots used, spread, monotone).
+    Returns each replica's (willingness list, slots used, spread).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -152,16 +156,18 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
         raise ValueError("max_slots must be >= 0")
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
-    # the blind blocks of kernels.gossip_chunk see an overflow only when 0 < delta < 1
+    # a retention outside (0, 1) is not the model's, and a NaN one turns influenced values into NaN
     if not 0 < net.delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    w0 = np.asarray(net.w0, dtype=np.float64)
+    if not np.all(np.abs(w0) <= np.finfo(np.float64).max / 2):
+        raise ValueError("w0 must lie within +-DBL_MAX/2 and hold no NaN")
     n = net.n
     sampler = build_sampler(net)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-    w0 = np.asarray(net.w0, dtype=np.float64)
     spread0 = float(w0.max() - w0.min())
     ws = [w0.tolist() for _ in rngs]
-    state = [(0, spread0, True)] * len(rngs)
+    state = [(0, spread0)] * len(rngs)
     live = [] if spread0 <= tol else list(range(len(rngs)))
     slot = 0
     chunk = 4 * n
@@ -180,9 +186,9 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
                 uniforms, slot, [state[k][1] for k in group], record_every,
                 None if records is None else [records[k] for k in group],
             )
-            for k, (used, spread, monotone) in zip(group, out):
-                state[k] = (used, spread, monotone and state[k][2])
-                if not spread <= tol:
+            for k, (used, spread) in zip(group, out):
+                state[k] = (used, spread)
+                if spread > tol:
                     still.append(k)
         live = still
         slot += count
@@ -200,7 +206,9 @@ def run_replica(
 
     ``record_every`` controls snapshot density (default: one per n slots;
     0 disables recording except for the initial and final states).
-    Deterministic for a fixed (network, parameters, seed).
+    Deterministic for a fixed (network, parameters, seed).  Raises
+    ``ValueError`` unless every ``|w0| <= DBL_MAX/2`` (NaN included): under
+    that bound no sum or weighted mean of two values overflows.
 
     The replica is a one-replica group of ``_run``; the kernel appends the
     recorded states to one list, turned into arrays once at the end.
@@ -210,21 +218,22 @@ def run_replica(
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     w0 = np.asarray(net.w0, dtype=np.float64)
     records = [(0, float(w0.max() - w0.min()), w0.tolist())]
-    ((w, slot, spread, monotone),) = _run(net, [seq], max_slots, tol, record_every, [records])
+    ((w, slot, spread),) = _run(net, [seq], max_slots, tol, record_every, [records])
 
     if records[-1][0] != slot:
         records.append((slot, spread, w))
     slots, spreads, snapshots = zip(*records)
+    spreads = np.array(spreads)
     final = np.array(w)
     return SimulationTrace(
         slots=np.array(slots, dtype=np.int64),
         snapshots=np.array(snapshots),
-        spread=np.array(spreads),
+        spread=spreads,
         final=final,
         value=float(final.mean()),
         converged=spread <= tol,
         slots_used=slot,
-        monotone=monotone,
+        monotone=bool(np.all(spreads[1:] <= spreads[:-1])),
         seed=seed,
     )
 
@@ -241,7 +250,9 @@ def simulate_ensemble(
     Replica k draws from the stream keyed by (seed, k) and ends exactly as
     ``run_replica`` with that seed and ``record_every=0`` would; the
     summary is identical however the replicas are grouped into waves and
-    kernel calls.
+    kernel calls.  Raises ``ValueError`` unless every ``|w0| <= DBL_MAX/2``
+    (NaN included): under that bound no sum or weighted mean of two values
+    overflows.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -251,7 +262,7 @@ def simulate_ensemble(
     wave = max(1, min(_WAVE_REPLICAS, _WAVE_VALUES // net.n))
     for first in range(0, replicas, wave):
         seeds = [replica_seed(seed, k) for k in range(first, min(first + wave, replicas))]
-        for k, (w, used, spread, _) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
+        for k, (w, used, spread) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
             values[k] = np.array(w).mean()
             converged[k] = spread <= tol
             slots[k] = used

@@ -11,14 +11,14 @@ loop.  It drops the persistent meetings, which change nothing, and applies
 the rest, each as a regular/influence flag and its two endpoints, to each
 replica's willingness list, which Python indexes several times faster than
 a numpy array element by element.  Finding the slot where the spread
-reaches tol is the only reason to look at the values, and on finite values
-every meeting leaves both endpoints inside the old pair interval unless an
-average overflows, so the spread never grows.  The loop therefore applies
-blocks of at least 4n meetings without tracking anything and takes the
-spread once per block; the block that ends at or below tol is bisected,
-one ``max(w) - min(w)`` per halving, down to the meeting that reaches it.
-Values that are not finite, which validation refuses, go meeting by
-meeting.  Recording splits the chunk at the recorded slots instead of
+reaches tol is the only reason to look at the values, and every meeting
+leaves both endpoints inside the old pair interval, because
+``gossip._run`` refuses values beyond +-DBL_MAX/2 and so no sum or
+weighted mean overflows; the spread never grows.  The loop therefore
+applies blocks of at least 4n meetings without tracking anything and takes
+the spread once per block; the block that ends at or below tol is
+bisected, one ``max(w) - min(w)`` per halving, down to the meeting that
+reaches it.  Recording splits the chunk at the recorded slots instead of
 testing every slot.  The caller sizes each chunk to the slots a replica
 may still spend, so the kernel knows no budget.
 
@@ -179,58 +179,39 @@ def _mix(w, meetings, delta):
         w[a] = v
 
 
-def _segment(w, regular, i_all, j_all, lo, hi, block, delta, tol, spread, monotone):
+def _segment(w, regular, i_all, j_all, lo, hi, block, delta, tol, spread):
     """Apply the meetings in rows lo:hi of the lists to ``w`` until its spread reaches tol.
 
     Returns (1 + the list row of the meeting that reached tol, or 0;
-    spread; monotone); ``gossip_chunk`` maps that row to its slot.
-    While ``spread`` is finite, so is every value, and each run of
+    spread); ``gossip_chunk`` maps that row to its slot.  Each run of
     ``block`` meetings goes through ``_mix`` with the spread taken once, at
-    its end.  A meeting of finite values leaves both endpoints inside the
-    old pair interval unless an average overflows to inf, and a value that
-    is not finite never becomes finite again; with 0 < delta < 1 an inf
-    stays visible to ``max`` and ``min``.  So "spread <= tol" holds from
-    one meeting of a block on, and a block that ends at or below tol was
-    finite all the way through it.  A block is kept when its spread is
-    above tol and no greater than before.  One that reached tol is
-    restored and bisected: its first half is applied and kept while the
-    spread stays above tol, restored otherwise, down to the one meeting
-    that reaches tol.  A block whose spread grew or is NaN (it took an
-    overflow) is restored and applied meeting by meeting, as is every
-    meeting once the spread is not finite, each slot taking the spread as
-    numpy does: NaN when any value is NaN.
+    its end.  No meeting moves a value outside the old pair interval, so
+    the spread never grows and "spread <= tol" holds from one meeting of a
+    block on.  A block whose spread stays above tol is kept.  One that
+    reached tol is restored and bisected: its first half is applied and
+    kept while the spread stays above tol, restored otherwise, down to the
+    one meeting that reaches tol, which is then applied.
     """
     while lo < hi:
         end = min(lo + block, hi)
-        if spread < np.inf:
-            saved = w.copy()
-            _mix(w, zip(regular[lo:end], i_all[lo:end], j_all[lo:end]), delta)
-            s = max(w) - min(w)
-            if tol < s <= spread:
-                spread = s
-                lo = end
-                continue
+        saved = w.copy()
+        _mix(w, zip(regular[lo:end], i_all[lo:end], j_all[lo:end]), delta)
+        spread = max(w) - min(w)
+        if spread <= tol:
             w[:] = saved
-            if s <= tol:
-                while end - lo > 1:
-                    mid = (lo + end) // 2
-                    saved = w.copy()
-                    _mix(w, zip(regular[lo:mid], i_all[lo:mid], j_all[lo:mid]), delta)
-                    if max(w) - min(w) > tol:
-                        lo = mid
-                    else:
-                        w[:] = saved
-                        end = mid
-        for k in range(lo, end):
-            _mix(w, ((regular[k], i_all[k], j_all[k]),), delta)
-            s = float("nan") if any(v != v for v in w) else max(w) - min(w)
-            if s > spread:
-                monotone = False
-            spread = s
-            if spread <= tol:
-                return k + 1, spread, monotone
+            while end - lo > 1:
+                mid = (lo + end) // 2
+                saved = w.copy()
+                _mix(w, zip(regular[lo:mid], i_all[lo:mid], j_all[lo:mid]), delta)
+                if max(w) - min(w) > tol:
+                    lo = mid
+                else:
+                    w[:] = saved
+                    end = mid
+            _mix(w, ((regular[lo], i_all[lo], j_all[lo]),), delta)
+            return lo + 1, max(w) - min(w)
         lo = end
-    return 0, spread, monotone
+    return 0, spread
 
 
 def gossip_chunk(
@@ -239,28 +220,25 @@ def gossip_chunk(
     """Advance a group of replicas, all standing at ``slot``, by one chunk of slots each.
 
     ``ws`` holds each replica's willingness list, updated in place, and
-    ``spreads`` their spreads on entry as numpy takes them (NaN when a
-    value is NaN), all above tol.  ``uniforms`` holds ``count`` rows per
-    replica, one per slot, replica q's in the q-th block of ``count`` rows;
-    one ``decode_meetings`` call decodes the whole group from the padded
-    meeting table ``(table, partner, width, x, y)``.  The update rule
-    (``_mix``) keeps the spread exactly non-increasing in floating point
-    unless an average overflows.  Persistent meetings change nothing, so
-    only the others reach the slot loop (``_segment``), as three lists: a
-    bool that is true for a regular meeting, the initiator and the partner.
+    ``spreads`` their spreads on entry, all above tol.  ``uniforms`` holds
+    ``count`` rows per replica, one per slot, replica q's in the q-th block
+    of ``count`` rows; one ``decode_meetings`` call decodes the whole group
+    from the padded meeting table ``(table, partner, width, x, y)``.  The
+    update rule (``_mix``) keeps the spread exactly non-increasing in
+    floating point on values within +-DBL_MAX/2, the bound ``gossip._run``
+    enforces.  Persistent meetings change nothing, so only the others reach
+    the slot loop (``_segment``), as three lists: a bool that is true for a
+    regular meeting, the initiator and the partner.
 
     A replica stops at the slot where its spread drops to tol.  The loop
     applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and takes
     the spread at each block's end; the block where it reaches tol is
     bisected down to the meeting that reaches it, and that meeting's row
-    gives the stop slot.  The stop slot, the spread and ``monotone`` are
-    those of a slot-by-slot check.  A replica whose spread is not finite
-    (its values hold a NaN or an infinity) runs meeting by meeting
-    (``_segment``).  With ``record_every`` > 0, replica q appends
+    gives the stop slot.  The stop slot and the spread are those of a
+    slot-by-slot check.  With ``record_every`` > 0, replica q appends
     ``(slot, spread, w.copy())`` to ``records[q]`` at every slot that is a
     multiple of it: the loop runs from one such slot to the next and never
-    tests for them.  Returns one (slot, spread, monotone) per replica,
-    where monotone is false if the spread ever grew.
+    tests for them.  Returns one (slot, spread) per replica.
     """
     group = len(ws)
     count = uniforms.shape[0] // group
@@ -279,9 +257,8 @@ def gossip_chunk(
     lo = 0
     for q, w in enumerate(ws):
         spread = spreads[q]
-        monotone = True
         for mark, cut in zip(marks + [0], cuts[q]):
-            stop, spread, monotone = _segment(w, regular, i_all, j_all, lo, cut, block, delta, tol, spread, monotone)
+            stop, spread = _segment(w, regular, i_all, j_all, lo, cut, block, delta, tol, spread)
             if stop:
                 stop = int(rows[stop - 1]) % count + slot + 1
                 break
@@ -290,7 +267,7 @@ def gossip_chunk(
             lo = cut
         if stop and record_every and stop % record_every == 0:
             records[q].append((stop, spread, w.copy()))
-        out.append((stop or end, spread, monotone))
+        out.append((stop or end, spread))
         lo = cuts[q][-1]
     return out
 
