@@ -74,6 +74,7 @@ def bridged_clusters(
     influence: float = 0.0,
     delta: float = 0.5,
     w0=None,
+    bridge_p: float | None = None,
 ) -> AcquaintanceNetwork:
     """Two complete clusters joined by a single undirected bridge.
 
@@ -82,13 +83,24 @@ def bridged_clusters(
     With ``influence > 0`` the ordered bridge edge (tail, head) carries
     influence probability ``influence`` (head influences tail) and every
     other meeting averages, which makes the bridge the only influential
-    edge in the network.
+    edge in the network.  ``bridge_p`` in (0, 1) sets the meeting
+    probability ``p`` of both bridge directions, and the other partners of
+    the two bridge nodes share the rest of their rows; by default every
+    node meets its partners uniformly.
     """
     n = size_i + size_j
     tails, heads = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     same = (tails >= size_i) == (heads >= size_i)
     tail, head = size_i - 1, size_i
     net = _averaging(n, np.append(tails[same], [tail, head]), np.append(heads[same], [head, tail]), w0, delta)
+    if bridge_p is not None:
+        if not (0.0 < bridge_p < 1.0 and min(size_i, size_j) >= 2):
+            raise ValueError("bridge_p must lie in (0, 1), with at least two nodes in each cluster")
+        crossing = (net.tails < size_i) != (net.heads < size_i)  # the two bridge directions
+        ends = (net.tails == tail) | (net.tails == head)
+        partners = np.where(net.tails < size_i, size_i - 1, size_j - 1)
+        p = np.where(crossing, bridge_p, np.where(ends, (1.0 - bridge_p) / partners, net.p))
+        net = dataclasses.replace(net, p=p)
     if influence <= 0.0:
         return net
     bridge = (net.tails == tail) & (net.heads == head)

@@ -23,7 +23,9 @@ from .errors import NumericalError
 from .network import AcquaintanceNetwork, dense, reachable, readonly
 
 # Bound on the 1-norm condition number of the stationary system; the
-# 2-norm value differs from it by at most a factor n either way.
+# 2-norm value differs from it by at most a factor n either way.  The
+# exact value is computed only when the hitting-time bound of
+# stationary_distribution cannot show that it is at most COND_LIMIT / 2.
 COND_LIMIT = 1e12
 
 
@@ -85,9 +87,43 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
 def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
     """Stationary distribution of Wbar by direct dense linear solve.
 
-    Solves the left fixed-point equations with one equation replaced by
-    the normalization sum(pi) = 1 (partial-pivot LU underneath), and
-    returns pi as a read-only array.
+    Solves the left fixed-point equations ``A pi = e_l`` (A = Wbar.T - I
+    with its last row set to ones, l the last node), where the last
+    equation is the normalization sum(pi) = 1 (partial-pivot LU
+    underneath), and returns pi as a read-only array.
+
+    The solve is refused when cond_1(A) exceeds ``COND_LIMIT``.  The
+    exact value needs inv(A), about three solves' work, so the gate
+    first tries to prove ``cond_1(A) <= COND_LIMIT / 2`` from one solve
+    with A.T.  With S every node but l, Q = Wbar[S, S], r = Wbar[l, S]:
+
+        A.T = [[Q - I, e], [r, 1]],   v = solve(A.T, e_l) = [t / s; 1 / s],
+
+    where t = (I - Q)^-1 e holds the expected hitting times of l from S
+    and s = 1 + r t = 1 / pi_l is the mean return time to l (Kac).  If
+    Wbar >= 0 and (I - Q) x > 0 for some x > 0, then I - Q is a
+    nonsingular M-matrix, so N = (I - Q)^-1 >= 0 (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, 1979, ch. 6,
+    thm 2.3).  Block inversion gives
+
+        inv(A.T) = [[-N + t (r N) / s, t / s], [r N / s, 1 / s]],
+
+    whose row i has absolute sum at most t_i + t_i (r t + 1) / s = 2 t_i
+    and at least 2 t_i / s; the last row sums to 1.  Hence
+
+        cond_1(A) = ||A||_1 ||inv(A.T)||_inf <= U = 2 ||A||_1 max(1, max t),
+
+    and U <= cond_1(A) / pi_l (Kemeny & Snell, *Finite Markov Chains*,
+    1960, the absorbing chain's fundamental matrix N; Cho & Meyer,
+    Linear Algebra Appl. 2001, conditioning by mean first passage
+    times).  The computed v is not trusted for t: with x = v[:-1] and g
+    the computed residual ``(I - Q) x = v_l e - (A.T v)[:-1]``,
+    ``N g = x`` bounds ``max t <= max(x) / min(g)`` for whatever v the
+    solve returned.  The factor-2 margin covers the rounding of U, and
+    of the exact value near the limit (relative error about
+    cond * eps <= 1e-4).  Where the bound fails (a negative entry in
+    Wbar, a singular or nonpositive v, or U > COND_LIMIT / 2) the exact
+    ``np.linalg.cond`` decides.
 
     Raises
     ------
@@ -95,15 +131,35 @@ def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
         If the system is singular or its 1-norm condition number exceeds
         ``COND_LIMIT``.
     """
-    n = mm.Wbar.shape[0]
-    A = mm.Wbar.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
+    A = _stationary_system(mm.Wbar)
+    b = np.zeros(A.shape[0])
     b[-1] = 1.0
-    cond = np.linalg.cond(A, 1)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalError(f"stationary solve too ill-conditioned (cond={cond:.3e})")
+    if not _cond_bound(mm.Wbar, A, b) <= COND_LIMIT / 2:
+        cond = np.linalg.cond(A, 1)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise NumericalError(f"stationary solve too ill-conditioned (cond={cond:.3e})")
     return _cleanup_distribution(_solve(A, b, "stationary solve"))
+
+
+def _stationary_system(Wbar: np.ndarray) -> np.ndarray:
+    """``Wbar.T - I`` with its last row set to ones: the matrix of the stationary solve."""
+    A = Wbar.T - np.eye(Wbar.shape[0])
+    A[-1, :] = 1.0
+    return A
+
+
+def _cond_bound(Wbar: np.ndarray, A: np.ndarray, e_last: np.ndarray) -> float:
+    """Hitting-time bound U >= cond_1(A) of :func:`stationary_distribution`; inf where it does not apply."""
+    if not Wbar.min() >= 0.0:
+        return np.inf
+    try:
+        v = np.linalg.solve(A.T, e_last)
+    except np.linalg.LinAlgError:
+        return np.inf
+    g = np.min(v[-1] - (A.T @ v)[:-1], initial=v[-1])  # with v_l in the minimum, max(v) / g >= max(1, max t)
+    if not (v.min() > 0.0 and g > 0.0):
+        return np.inf
+    return float(2.0 * np.abs(A).sum(axis=0).max() * v.max() / g)
 
 
 def _solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:

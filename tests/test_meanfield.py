@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_network_oracle import CORPUS
 
 from willingness_gossip.fixtures import (
     barbell,
+    bridged_clusters,
     cycle,
     random_network,
     two_node_influencer,
@@ -11,7 +17,10 @@ from willingness_gossip.fixtures import (
 )
 from willingness_gossip.errors import NumericalError
 from willingness_gossip.meanfield import (
+    COND_LIMIT,
     MeanMatrices,
+    _cond_bound,
+    _stationary_system,
     build_mean_matrices,
     build_passage_data,
     fundamental_matrix,
@@ -113,6 +122,87 @@ class TestStationary:
         pi = stationary_distribution(mm)
         np.testing.assert_allclose(pi @ mm.Wbar, pi, atol=1e-9)
         assert abs(pi.sum() - 1.0) <= 1e-10
+
+
+def bound_and_cond(Wbar):
+    """The hitting-time bound U and the exact cond_1 of the stationary system of ``Wbar``."""
+    A = _stationary_system(Wbar)
+    e_last = np.zeros(A.shape[0])
+    e_last[-1] = 1.0
+    return _cond_bound(Wbar, A, e_last), np.linalg.cond(A, 1)
+
+
+WEAK_BRIDGES = [1e-6, 1e-9, 1e-12]
+
+
+@pytest.fixture
+def cond_calls(monkeypatch):
+    """Count the calls of the exact ``np.linalg.cond``."""
+    calls = []
+    exact = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return calls
+
+
+class TestConditionBound:
+    @pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[label for label, _ in CORPUS])
+    def test_bounds_exact_cond_on_corpus(self, net):
+        # U is inf where the bound does not apply (a reducible support), so it still bounds cond
+        bound, exact = bound_and_cond(build_mean_matrices(net).Wbar)
+        assert bound >= exact * (1.0 - 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), density=st.floats(0.0, 1.0))
+    def test_bounds_exact_cond_within_return_time(self, seed, n, density):
+        # exact <= U <= exact / pi_l: the bound is loose by at most the mean return time to the last node
+        mm = build_mean_matrices(random_network(np.random.default_rng(seed), n, extra_edge_prob=density))
+        bound, exact = bound_and_cond(mm.Wbar)
+        pi_last = stationary_distribution(mm)[-1]
+        assert exact * (1.0 - 1e-9) <= bound <= exact / pi_last * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("bridge_p", WEAK_BRIDGES)
+    def test_bounds_exact_cond_on_weak_bridges(self, bridge_p):
+        bound, exact = bound_and_cond(build_mean_matrices(bridged_clusters(5, 5, bridge_p=bridge_p)).Wbar)
+        assert exact <= bound < np.inf
+
+    @pytest.mark.parametrize("bridge_p, accepted", zip(WEAK_BRIDGES, [True, True, False]))
+    def test_decision_matches_exact_gate(self, bridge_p, accepted):
+        mm = build_mean_matrices(bridged_clusters(5, 5, bridge_p=bridge_p))
+        exact = bound_and_cond(mm.Wbar)[1]
+        assert (exact <= COND_LIMIT) == accepted
+        if accepted:
+            np.testing.assert_allclose(stationary_distribution(mm), 0.1, rtol=1e-6)
+        else:
+            with pytest.raises(NumericalError, match=re.escape(f"ill-conditioned (cond={exact:.3e})")):
+                stationary_distribution(mm)
+
+    @pytest.mark.parametrize("net", [random_network(np.random.default_rng(7), 60), bridged_clusters(5, 5, bridge_p=1e-9)])
+    def test_accepted_without_exact_cond(self, net, monkeypatch):
+        mm = build_mean_matrices(net)
+        expected = stationary_distribution(mm)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        np.testing.assert_array_equal(stationary_distribution(mm), expected)
+
+    def test_weak_bridge_falls_back_once(self, cond_calls):
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            stationary_distribution(build_mean_matrices(bridged_clusters(5, 5, bridge_p=1e-12)))
+        assert len(cond_calls) == 1
+
+    def test_negative_entry_falls_back_once(self, cond_calls):
+        # the bound needs Wbar >= 0; the exact cond (about 7) accepts this system
+        wbar = np.array([[0.5, 0.6, -0.1], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]])
+        pi = stationary_distribution(MeanMatrices(Wbar=wbar, K=wbar, L=np.zeros((3, 3))))
+        assert len(cond_calls) == 1
+        np.testing.assert_allclose(pi @ wbar, pi, atol=1e-14)
 
 
 class TestPerturbation:

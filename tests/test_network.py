@@ -360,6 +360,26 @@ def test_complete_graph_all_edges():
     assert net.edges[0].size == 20
 
 
+def test_bridge_weight_moves_only_the_bridge_rows():
+    base = bridged_clusters(3, 4, influence=0.5)
+    net = bridged_clusters(3, 4, influence=0.5, bridge_p=1e-6)
+    assert validate_network(net).ok
+    P, P_base = dense(net, net.p), dense(base, base.p)
+    assert P[2, 3] == P[3, 2] == 1e-6
+    np.testing.assert_array_equal(P[2, :2], (1.0 - 1e-6) / 2)
+    np.testing.assert_array_equal(P[3, 4:], (1.0 - 1e-6) / 3)
+    others = [0, 1, 4, 5, 6]
+    np.testing.assert_array_equal(P[others], P_base[others])
+    for name in ("tails", "heads", "x", "y", "z"):
+        np.testing.assert_array_equal(getattr(net, name), getattr(base, name))
+
+
+@pytest.mark.parametrize("sizes, bridge_p", [((3, 4), 0.0), ((3, 4), 1.0), ((1, 4), 0.5), ((3, 1), 0.5)])
+def test_bridge_weight_refuses_rows_it_cannot_fill(sizes, bridge_p):
+    with pytest.raises(ValueError, match="bridge_p"):
+        bridged_clusters(*sizes, bridge_p=bridge_p)
+
+
 def _pair_columns(tails, heads):
     """The columns of a network that lists the pairs (tails[e], heads[e]) of n = 3 nodes, each meeting for sure."""
     ones, zeros = np.ones(len(tails)), np.zeros(len(tails))
