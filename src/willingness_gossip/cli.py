@@ -11,7 +11,6 @@ arguments), 3 no replica converged, 4 partial analysis failure.
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
@@ -30,6 +29,9 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PARTIAL = 4
+
+# Largest --replicas: the ensemble keeps three per-replica arrays (17 bytes a replica), about 170 MB at the cap.
+MAX_REPLICAS = 10**7
 
 
 class EnvValue(NamedTuple):
@@ -118,20 +120,22 @@ def _write(path: str, what: str, write) -> bool:
 
 
 def _writable(path: str, what: str) -> bool:
-    """Whether ``path`` can be created: its directory exists and it is not a directory; says why not on stderr.
+    """Whether the OS lets ``path`` be opened for writing; says why not on stderr.
 
-    Checked before the analysis, so a bad output path fails at once; errors
-    that show only when the file is written are left to ``_write``.
+    Probes by opening the file for append, which leaves an existing file
+    as it is, and removes the file if the probe created it.  Checked
+    before the analysis, so a bad output path fails at once; errors that
+    show only when the file is written are left to ``_write``.
     """
-    target = Path(path)
-    if target.is_dir():
-        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    elif not target.parent.is_dir():
-        error = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    else:
-        return True
-    print(f"cannot write {what}: {error}", file=sys.stderr)
-    return False
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    if not existed:
+        os.remove(path)
+    return True
 
 
 def _write_trace(net, args) -> bool:
@@ -167,8 +171,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
             choices = ", ".join(action.choices)
             return f"invalid value for {value.name}: {value.text!r} (choose from {choices})"
         setattr(args, action.dest, converted)
-    if getattr(args, "replicas", 1) < 1:
-        return "--replicas must be >= 1"
+    if not 1 <= getattr(args, "replicas", 1) <= MAX_REPLICAS:
+        return f"--replicas must lie in [1, {MAX_REPLICAS}]"
     if getattr(args, "max_slots", 1) < 1:
         return "--max-slots must be >= 1"
     if not (0 < getattr(args, "tol", 1.0) < math.inf):

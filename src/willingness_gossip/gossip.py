@@ -71,37 +71,6 @@ class EnsembleSummary:
     seed: object
 
 
-def build_sampler(net: AcquaintanceNetwork):
-    """Padded cumulative meeting table: (table, partner, width, x, y).
-
-    ``width`` is the smallest power of two at least the largest degree.
-    Row i of the flat float64 ``table`` is ``table[i*width:(i+1)*width]``:
-    the cumulative probabilities of i's partners in index order, ending
-    exactly at 1.0 (each row rescaled by its own sum, which the validator
-    already pins to 1 within 1e-9), then ``+inf``.  ``partner`` (int32),
-    ``x`` and ``y`` hold each edge's head and type probabilities in the
-    same layout, 0 in the padding.  The sums run along the zero-padded
-    rows, and adding a zero is exact, so the last entry of a row, divided
-    by itself, is exactly 1.0.
-    """
-    met = net.p > 0.0  # the edges
-    degree = np.bincount(net.tails[met], minlength=net.n)
-    if not degree.all():
-        raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
-    width = 1 << int(degree.max() - 1).bit_length()
-    # row i's first degree[i] cells; the mask fills row-major, the order of the edge list
-    filled = (np.arange(width) < degree[:, None]).ravel()
-    table, x, y = padded = np.zeros((3, net.n * width))
-    padded[:, filled] = [net.p[met], net.x[met], net.y[met]]
-    rows = table.reshape(net.n, width)
-    np.cumsum(rows, axis=1, out=rows)
-    rows /= rows[:, -1:]
-    table[~filled] = np.inf
-    partner = np.zeros(net.n * width, dtype=np.int32)
-    partner[filled] = net.heads[met]
-    return table, partner, width, x, y
-
-
 def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
     """One willingness update: initiator i meets partner j; pure (returns a new vector).
 
@@ -163,7 +132,7 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     if not np.all(np.abs(w0) <= np.finfo(np.float64).max / 2):
         raise ValueError("w0 must lie within +-DBL_MAX/2 and hold no NaN")
     n = net.n
-    sampler = build_sampler(net)
+    sampler = kernels.build_sampler(net)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     spread0 = float(w0.max() - w0.min())
     ws = [w0.tolist() for _ in rngs]

@@ -117,7 +117,7 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
     """
     n = net.n
     q = net.influence
-    influential = np.flatnonzero((net.p > 0.0) & (q > 0.0))
+    influential = np.flatnonzero(net.met & (q > 0.0))
     if influential.size == 0:
         raise Thm6InapplicableError("no influential edge")
     if influential.size > 1:

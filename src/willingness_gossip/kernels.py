@@ -1,26 +1,26 @@
 """Hot inner loops: gossip slot iteration and conductance subset scan.
 
 The gossip kernel advances a group of replicas, all at the same slot,
-through one chunk of pre-drawn uniforms each, three per slot.  It decodes
-the whole group into meetings with one numpy call (``decode_meetings``):
-``gossip.build_sampler`` pads every node's row of cumulative meeting
-probabilities with +inf to one power-of-two width, so each partner is
+through one chunk of pre-drawn uniforms each, three per slot.  It
+decodes the whole group into meetings with one numpy call
+(``decode_meetings``) from the padded meeting table of
+``build_sampler``, whose docstring gives its layout: each partner is
 found by the same log2(width) steps of a fixed-step search (Khuong &
 Morin, ACM JEA 2017), run over all rows at once without a data-dependent
-loop.  It drops the persistent meetings, which change nothing, and applies
-the rest, each as a regular/influence flag and its two endpoints, to each
-replica's willingness list, which Python indexes several times faster than
-a numpy array element by element.  Finding the slot where the spread
-reaches tol is the only reason to look at the values, and every meeting
-leaves both endpoints inside the old pair interval, because
-``gossip._run`` refuses values beyond +-DBL_MAX/2 and so no sum or
-weighted mean overflows; the spread never grows.  The loop therefore
-applies blocks of at least 4n meetings without tracking anything and takes
-the spread once per block; the block that ends at or below tol is
-bisected, one ``max(w) - min(w)`` per halving, down to the meeting that
-reaches it.  Recording splits the chunk at the recorded slots instead of
-testing every slot.  The caller sizes each chunk to the slots a replica
-may still spend, so the kernel knows no budget.
+loop.  It drops the persistent meetings, which change nothing, and
+applies the rest, each as a regular/influence flag and its two
+endpoints, to each replica's willingness list, which Python indexes
+several times faster than a numpy array element by element.  Finding the
+slot where the spread reaches tol is the only reason to look at the
+values, and every meeting leaves both endpoints inside the old pair
+interval, because ``gossip._run`` refuses values beyond +-DBL_MAX/2 and
+so no sum or weighted mean overflows; the spread never grows.  The loop
+therefore applies blocks of at least 4n meetings without tracking
+anything and takes the spread once per block; the block that ends at or
+below tol is bisected, one ``max(w) - min(w)`` per halving, down to the
+meeting that reaches it.  Recording splits the chunk at the recorded
+slots instead of testing every slot.  The caller sizes each chunk to the
+slots a replica may still spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -39,6 +39,8 @@ division by a positive number never decrease as the cut grows.
 from __future__ import annotations
 
 import numpy as np
+
+from .network import AcquaintanceNetwork
 
 # perfbench reads this flag for its environment block.
 NUMBA_ENABLED = False
@@ -59,23 +61,52 @@ KIND_INFLUENCE = 1
 KIND_PERSISTENT = 2
 
 
+def build_sampler(net: AcquaintanceNetwork):
+    """Padded cumulative meeting table: (table, partner, width, x, y).
+
+    ``width`` is the smallest power of two at least the largest degree.
+    Row i of the flat float64 ``table`` is ``table[i*width:(i+1)*width]``:
+    the cumulative probabilities of i's partners in index order, ending
+    exactly at 1.0 (each row rescaled by its own sum, which the validator
+    already pins to 1 within 1e-9), then ``+inf``.  ``partner`` (int32),
+    ``x`` and ``y`` hold each edge's head and type probabilities in the
+    same layout, 0 in the padding.  The sums run along the zero-padded
+    rows, and adding a zero is exact, so the last entry of a row, divided
+    by itself, is exactly 1.0.
+    """
+    met = net.met
+    degree = np.bincount(net.tails[met], minlength=net.n)
+    if not degree.all():
+        raise ValueError(f"node {int(np.argmin(degree))} has no meeting partners")
+    width = 1 << int(degree.max() - 1).bit_length()
+    # row i's first degree[i] cells; the mask fills row-major, the order of the edge list
+    filled = (np.arange(width) < degree[:, None]).ravel()
+    table, x, y = padded = np.zeros((3, net.n * width))
+    padded[:, filled] = [net.p[met], net.x[met], net.y[met]]
+    rows = table.reshape(net.n, width)
+    np.cumsum(rows, axis=1, out=rows)
+    rows /= rows[:, -1:]
+    table[~filled] = np.inf
+    partner = np.zeros(net.n * width, dtype=np.int32)
+    partner[filled] = net.heads[met]
+    return table, partner, width, x, y
+
+
 def decode_meetings(table, partner, width, x, y, uniforms):
     """Decode uniform triples, one row per slot, into meetings (i, j, kind).
 
-    The initiator is ``min(int(u0 * n), n - 1)``.  Row i of the padded
-    meeting table (``gossip.build_sampler``) is ``table[i*width:(i+1)*width]``:
-    the cumulative probabilities of i's partners, non-decreasing and ending
-    at exactly 1.0, then ``+inf``; ``partner``, ``x`` and ``y`` hold each
-    partner's index and type probabilities in the same layout.  The partner
-    is at the first position ``pos`` of the row with cumulative probability
-    above u1, found by a fixed-step search over all rows at once: for step
-    = width/2, ..., 1, pos moves on by step if the entry step - 1 ahead is
-    ``<= u1``.  That is log2(width) steps with no test for whether every
-    search has settled, and it ends on the first entry above u1 because the
-    entries ``<= u1`` form a prefix of the row that never reaches its last
-    real entry, 1.0.  The kind is regular if ``u2 < y[pos]``, influence if
-    ``u2 < y[pos] + x[pos]``, persistent otherwise; as ``x >= 0``, that is
-    the number of those two bounds that u2 reaches.  Returns three int64 arrays.
+    ``(table, partner, width, x, y)`` is the padded meeting table of
+    :func:`build_sampler`.  The initiator is ``min(int(u0 * n), n - 1)``.
+    The partner is at the first position ``pos`` of the initiator's row
+    with cumulative probability above u1, found by a fixed-step search over
+    all rows at once: for step = width/2, ..., 1, pos moves on by step if
+    the entry step - 1 ahead is ``<= u1``.  That is log2(width) steps with
+    no test for whether every search has settled, and it ends on the first
+    entry above u1 because the entries ``<= u1`` form a prefix of the row
+    that never reaches its last real entry, 1.0.  The kind is regular if
+    ``u2 < y[pos]``, influence if ``u2 < y[pos] + x[pos]``, persistent
+    otherwise; as ``x >= 0``, that is the number of those two bounds that
+    u2 reaches.  Returns three int64 arrays.
     """
     n = table.shape[0] // width
     u0, u1, u2 = uniforms.T.copy()
@@ -223,12 +254,12 @@ def gossip_chunk(
     ``spreads`` their spreads on entry, all above tol.  ``uniforms`` holds
     ``count`` rows per replica, one per slot, replica q's in the q-th block
     of ``count`` rows; one ``decode_meetings`` call decodes the whole group
-    from the padded meeting table ``(table, partner, width, x, y)``.  The
-    update rule (``_mix``) keeps the spread exactly non-increasing in
-    floating point on values within +-DBL_MAX/2, the bound ``gossip._run``
-    enforces.  Persistent meetings change nothing, so only the others reach
-    the slot loop (``_segment``), as three lists: a bool that is true for a
-    regular meeting, the initiator and the partner.
+    from the meeting table ``(table, partner, width, x, y)`` of
+    ``build_sampler``.  The update rule (``_mix``) keeps the spread exactly
+    non-increasing in floating point on values within +-DBL_MAX/2, the
+    bound ``gossip._run`` enforces.  Persistent meetings change nothing, so
+    only the others reach the slot loop (``_segment``), as three lists: a
+    bool that is true for a regular meeting, the initiator and the partner.
 
     A replica stops at the slot where its spread drops to tol.  The loop
     applies blocks of ``max(_BLOCK_MEETINGS, 4n)`` meetings blind and takes
@@ -274,11 +305,13 @@ def gossip_chunk(
 
 def warmup() -> None:
     """Run both kernels once on tiny inputs; perfbench times it at start-up."""
-    # the two-node regular pair, padded to width 2 so the search takes a step
-    table = np.array([1.0, np.inf, 1.0, np.inf])
-    partner = np.array([1, 0, 0, 0], dtype=np.int32)
+    # the complete averaging network on three nodes: two partners each, so width 2 and the search takes a step
+    net = AcquaintanceNetwork(
+        n=3, delta=0.5, w0=[0.0, 1.0, 0.5], tails=[0, 0, 1, 1, 2, 2], heads=[1, 2, 0, 2, 0, 1],
+        p=np.full(6, 0.5), x=np.zeros(6), y=np.ones(6), z=np.zeros(6),
+    )
     gossip_chunk(
-        [[0.0, 1.0], [0.0, 1.0]], table, partner, 2, np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]),
+        [net.w0.tolist(), net.w0.tolist()], *build_sampler(net),
         0.5, 1e-9, np.full((4, 3), 0.25), 0, [1.0, 1.0], 1, [[], []],
     )
     conductance_scan(np.full((2, 2), 0.5))

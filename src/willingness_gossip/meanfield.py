@@ -153,8 +153,8 @@ def _cond_bound(Wbar: np.ndarray, A: np.ndarray, e_last: np.ndarray) -> float:
     if not Wbar.min() >= 0.0:
         return np.inf
     try:
-        v = np.linalg.solve(A.T, e_last)
-    except np.linalg.LinAlgError:
+        v = _solve(A.T, e_last, "conditioning check")
+    except NumericalError:
         return np.inf
     g = np.min(v[-1] - (A.T @ v)[:-1], initial=v[-1])  # with v_l in the minimum, max(v) / g >= max(1, max t)
     if not (v.min() > 0.0 and g > 0.0):

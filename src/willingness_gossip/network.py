@@ -81,9 +81,14 @@ class AcquaintanceNetwork:
             raise ValueError("listed pairs must be distinct and in row-major order")
 
     @property
+    def met(self) -> np.ndarray:
+        """Mask of the listed pairs that are directed edges: those with p > 0, the only pairs that ever meet."""
+        return self.p > 0.0
+
+    @property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(tails, heads)`` of the directed edges, the listed pairs with p > 0, in row-major order."""
-        met = self.p > 0.0
+        """``(tails, heads)`` of the directed edges (:attr:`met`), in row-major order."""
+        met = self.met
         return self.tails[met], self.heads[met]
 
     @property
@@ -184,42 +189,34 @@ def parse_network(text: str) -> AcquaintanceNetwork:
     edges = _require_key(doc, "edges", "document")
     if not isinstance(edges, list):
         raise NetworkFormatError("field 'edges' must be an array")
-    columns = _edge_columns(edges, n)
-    if columns is None:
+    try:  # _edge_columns checks types and finiteness, the constructor the index range and pair order
+        tails, heads, (p, x, y, z) = _edge_columns(edges, n)
+        return AcquaintanceNetwork(n=n, delta=delta, w0=w0, tails=tails, heads=heads, p=p, x=x, y=y, z=z)
+    except (KeyError, TypeError, OverflowError, ValueError):
         _raise_first_faulty_edge(edges, n)
-    tails, heads, (p, x, y, z) = columns
-    return AcquaintanceNetwork(n=n, delta=delta, w0=w0, tails=tails, heads=heads, p=p, x=x, y=y, z=z)
 
 
 _EDGE_FIELDS = ("from", "to", "p", "x", "y", "z")
 _EDGE_TYPES = ({int},) * 2 + ({int, float},) * 4  # bool is not int here: type(True) is bool
 
 
-def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``edges`` as index columns ``i``, ``j`` and a (4, len(edges)) p/x/y/z block, in row-major order.
+def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``edges`` as index columns ``i``, ``j`` and a (4, len(edges)) p/x/y/z block, sorted by ``i * n + j``.
 
-    One pass per field, then whole-column checks: field types, index
-    range, finiteness, and duplicate pairs among the sorted keys
-    ``i * n + j``.  Returns None when any check refuses;
-    :func:`_raise_first_faulty_edge` then names the edge.
+    One pass per field, then whole-column checks of the field types and
+    finiteness; the index range and repeated pairs are left to
+    :class:`AcquaintanceNetwork`.  A faulty edge raises KeyError,
+    TypeError, OverflowError or ValueError, and :func:`parse_network` then
+    has :func:`_raise_first_faulty_edge` name it.
     """
-    try:
-        columns = [list(map(operator.itemgetter(key), edges)) for key in _EDGE_FIELDS]
-    except (KeyError, TypeError):  # a missing field, or an edge that is not an object
-        return None
+    columns = [list(map(operator.itemgetter(key), edges)) for key in _EDGE_FIELDS]
     if not all(set(map(type, col)) <= types for col, types in zip(columns, _EDGE_TYPES)):
-        return None
-    try:
-        i, j = np.array(columns[:2], dtype=np.int64)
-        values = np.array(columns[2:], dtype=np.float64)
-    except OverflowError:  # an index beyond int64, or a number beyond the float range
-        return None
-    if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n)) and np.isfinite(values).all()):
-        return None
+        raise ValueError("an edge field has the wrong type")
+    i, j = np.array(columns[:2], dtype=np.int64)
+    values = np.array(columns[2:], dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("an edge holds a non-finite number")
     order = np.argsort(i * n + j, kind="stable")  # a file written by serialize_network is already sorted
-    keys = i[order] * n + j[order]
-    if np.any(keys[1:] == keys[:-1]):  # some (from, to) pair repeats
-        return None
     return i[order], j[order], values[:, order]
 
 
@@ -242,12 +239,12 @@ def _raise_first_faulty_edge(edges: list, n: int) -> NoReturn:
         seen.add((i, j))
         for key in _EDGE_FIELDS[2:]:
             _as_number(_require_key(edge, key, ctx), key)
-    raise AssertionError("the column checks refused edges that every per-edge check accepts")
+    raise AssertionError("the column or constructor checks refused edges that every per-edge check accepts")
 
 
 def serialize_network(net: AcquaintanceNetwork) -> str:
     """Serialize a network back to the JSON document format."""
-    met = net.p > 0.0
+    met = net.met
     columns = [col[met] for col in (net.tails, net.heads, net.p, net.x, net.y, net.z)]
     edges = [dict(zip(_EDGE_FIELDS, row)) for row in zip(*(col.tolist() for col in columns))]
     doc = {
@@ -339,7 +336,7 @@ def validate_network(net: AcquaintanceNetwork) -> ValidationReport:
             v.append(f"interaction probability {name} out of [0, 1] at ({net.tails[bad[0]]}, {net.heads[bad[0]]})")
 
     tails, heads = net.edges
-    x, y, z = (col[net.p > 0.0] for col in (net.x, net.y, net.z))
+    x, y, z = (col[net.met] for col in (net.x, net.y, net.z))
     type_sum = x + y + z
     for e in np.flatnonzero(np.abs(type_sum - 1.0) > TYPE_SUM_TOL):
         v.append(f"interaction probabilities at edge ({tails[e]}, {heads[e]}) sum to {type_sum[e]:.12g}, expected 1")

@@ -6,8 +6,7 @@ import pytest
 
 from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
-from willingness_gossip.gossip import build_sampler
-from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, decode_meetings
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, build_sampler, decode_meetings
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, serialize_network
 from willingness_gossip.report import _fmt
 

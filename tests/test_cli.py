@@ -1,8 +1,10 @@
 import copy
+import errno
 import functools
 import json
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -283,10 +285,13 @@ class TestAnalyzeCommand:
         (["simulate"], {"WG_SEED": "-1"}, "--seed"),
         (["analyze"], {"WG_TOL": "inf"}, "--tol"),
         (["analyze"], {"WG_TOL": "nan"}, "--tol"),
+        (["simulate", "--replicas", str(cli.MAX_REPLICAS + 1)], {}, "--replicas"),
+        (["analyze"], {"WG_REPLICAS": "1000000000000"}, "--replicas"),
     ],
     ids=[
         "replicas-0", "tol-0", "threshold-0", "threshold-2", "seed-negative-simulate", "seed-negative-analyze",
         "seed-negative-analyze-trace", "tol-inf", "tol-nan", "env-seed-negative", "env-tol-inf", "env-tol-nan",
+        "replicas-over-cap", "env-replicas-over-memory",
     ],
 )
 def test_out_of_range_value_is_usage_error(influencer_pair_path, tmp_path, capsys, monkeypatch, argv, env, flag):
@@ -335,7 +340,7 @@ def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypa
     assert main(["validate", "--network", influencer_pair_path]) == 0
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "parent-is-file"])
 @pytest.mark.parametrize(
     "argv, what",
     [
@@ -352,12 +357,29 @@ def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys,
 
     for name in ("analyze", "simulate_ensemble", "run_replica"):
         monkeypatch.setattr(cli, name, not_called)
-    path = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path, reason = {
+        "missing-dir": (tmp_path / "missing" / "out.txt", errno.ENOENT),
+        "directory": (tmp_path, errno.EISDIR),
+        "parent-is-file": (afile / "out.txt", errno.ENOTDIR),
+    }[target]
     rc = main([argv[0], "--network", influencer_pair_path, "--replicas", "2", *argv[1:], str(path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"cannot write {what}: ")
+    assert err.startswith(f"cannot write {what}: [Errno {reason}] {os.strerror(reason)}")
     assert "Traceback" not in err
+
+
+def test_output_probe_leaves_files_as_it_found_them(tmp_path, capsys):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    assert cli._writable(str(kept), "trace")
+    assert kept.read_text() == "old"
+    new = tmp_path / "new.csv"
+    assert cli._writable(str(new), "trace")
+    assert not new.exists()
+    assert capsys.readouterr().err == ""
 
 
 class TestReportLibrary:

@@ -20,13 +20,12 @@ from willingness_gossip.fixtures import (
 from willingness_gossip.gossip import (
     SimulationTrace,
     apply_meeting,
-    build_sampler,
     replica_seed,
     run_replica,
     simulate_ensemble,
     write_trace_csv,
 )
-from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR, decode_meetings
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR, build_sampler, decode_meetings
 from willingness_gossip.meanfield import build_mean_matrices
 from willingness_gossip.network import AcquaintanceNetwork, dense
 

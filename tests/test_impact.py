@@ -30,7 +30,7 @@ from willingness_gossip.meanfield import (
     mean_first_passage,
     stationary_distribution,
 )
-from willingness_gossip.network import dense
+from willingness_gossip.network import dense, parse_network, serialize_network
 from willingness_gossip.report import RunConfig, analyze, render_json
 from willingness_gossip.spectral import conductance
 
@@ -148,6 +148,18 @@ class TestBridgeClosedForm:
         _, _, exact = exact_pipeline(net)
         with pytest.raises(Thm6InapplicableError, match="multiple|no influential"):
             impact_thm6(net, exact)
+
+    def test_listed_pair_without_meeting_is_no_influential_edge(self):
+        """A listed pair with p = 0 and x > 0 beside the influential bridge: thm6 sees the bridge alone."""
+        doc = json.loads(serialize_network(barbell(3)))
+        doc["edges"].append({"from": 0, "to": 5, "p": 0.0, "x": 0.5, "y": 0.5, "z": 0.0})
+        net = parse_network(json.dumps(doc))
+        assert net.tails.size == barbell(3).tails.size + 1
+        want = impact_thm6(barbell(3), exact_pipeline(barbell(3))[2])
+        result = impact_thm6(net, exact_pipeline(net)[2])
+        assert result.edge == want.edge
+        np.testing.assert_array_equal(result.values, want.values)
+        assert result.residual <= 1e-9
 
     def test_no_influential_edge_refused(self, rng):
         net = without_influence(random_network(rng, 5))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from willingness_gossip.errors import NetworkFormatError, NotStronglyConnectedError
 from willingness_gossip.fixtures import barbell, bridged_clusters, complete, cycle, path, random_network
-from willingness_gossip.gossip import build_sampler
+from willingness_gossip.kernels import build_sampler
 from willingness_gossip.network import (
     MAX_N,
     AcquaintanceNetwork,
