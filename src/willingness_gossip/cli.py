@@ -182,6 +182,14 @@ def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
     thr = getattr(args, "mixing_threshold", RunConfig.mixing_threshold)
     if not (0.0 < thr < 2.0):
         return "--mixing-threshold must lie in (0, 2)"
+    # a file named twice would be overwritten by the later write, or the input by an output
+    named = {}
+    for flag in ("network", "out", "trace"):
+        path = getattr(args, flag, None)
+        if path:
+            first = named.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                return f"--{first} and --{flag} name the same file: {path}"
     return None
 
 

@@ -8,6 +8,7 @@ ensemble draws from a counter-based Philox stream keyed by (seed, k), so
 results do not depend on execution order.  The ensemble advances all live
 replicas round by round and hands the kernel groups of them at once;
 ``run_replica`` is the one-replica group that records its trajectory.
+``_run`` owns each replica's outcome and its trace's first and last states.
 """
 
 from __future__ import annotations
@@ -116,8 +117,13 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     Raises ``ValueError`` unless every ``|w0| <= DBL_MAX/2``, which also
     refuses NaN: then ``a + b`` and ``delta a + (1 - delta) b`` stay within
     +-DBL_MAX, so no meeting overflows and the spread never grows.
-    ``records`` is None, or one list per replica for the kernel's records.
-    Returns each replica's (willingness list, slots used, spread).
+    ``records`` is None, or one empty list per replica.  Each then holds the
+    replica's recorded states ``(slot, spread, values)``: the slot-0 state,
+    written here; each multiple of ``record_every`` the replica passes
+    before it stops, written by the kernel; and the final state, written
+    here unless the kernel recorded it at the budget's end.  Returns each
+    replica's (willingness list, slots used, value, converged): the value
+    is the mean of its final willingness, converged is ``spread <= tol``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -136,6 +142,8 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     spread0 = float(w0.max() - w0.min())
     ws = [w0.tolist() for _ in rngs]
+    for rec in records or ():
+        rec.append((0, spread0, w0.tolist()))
     state = [(0, spread0)] * len(rngs)
     live = [] if spread0 <= tol else list(range(len(rngs)))
     slot = 0
@@ -161,7 +169,10 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
                     still.append(k)
         live = still
         slot += count
-    return [(w, *st) for w, st in zip(ws, state)]
+    for rec, w, (used, spread) in zip(records or (), ws, state):
+        if rec[-1][0] != used:
+            rec.append((used, spread, w))
+    return [(w, used, float(np.mean(w)), spread <= tol) for w, (used, spread) in zip(ws, state)]
 
 
 def run_replica(
@@ -179,28 +190,22 @@ def run_replica(
     ``ValueError`` unless every ``|w0| <= DBL_MAX/2`` (NaN included): under
     that bound no sum or weighted mean of two values overflows.
 
-    The replica is a one-replica group of ``_run``; the kernel appends the
-    recorded states to one list, turned into arrays once at the end.
+    The replica is a one-replica group of ``_run``, which writes its
+    recorded states to one list; this turns the list into arrays.
     """
     if record_every is None:
         record_every = net.n
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    w0 = np.asarray(net.w0, dtype=np.float64)
-    records = [(0, float(w0.max() - w0.min()), w0.tolist())]
-    ((w, slot, spread),) = _run(net, [seq], max_slots, tol, record_every, [records])
-
-    if records[-1][0] != slot:
-        records.append((slot, spread, w))
+    records = []
+    ((w, slot, value, converged),) = _run(net, [seed], max_slots, tol, record_every, [records])
     slots, spreads, snapshots = zip(*records)
     spreads = np.array(spreads)
-    final = np.array(w)
     return SimulationTrace(
         slots=np.array(slots, dtype=np.int64),
         snapshots=np.array(snapshots),
         spread=spreads,
-        final=final,
-        value=float(final.mean()),
-        converged=spread <= tol,
+        final=np.array(w),
+        value=value,
+        converged=converged,
         slots_used=slot,
         monotone=bool(np.all(spreads[1:] <= spreads[:-1])),
         seed=seed,
@@ -231,10 +236,8 @@ def simulate_ensemble(
     wave = max(1, min(_WAVE_REPLICAS, _WAVE_VALUES // net.n))
     for first in range(0, replicas, wave):
         seeds = [replica_seed(seed, k) for k in range(first, min(first + wave, replicas))]
-        for k, (w, used, spread) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
-            values[k] = np.array(w).mean()
-            converged[k] = spread <= tol
-            slots[k] = used
+        for k, (_, used, value, done) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
+            values[k], converged[k], slots[k] = value, done, used
 
     good = values[converged]
     cnt = int(converged.sum())

@@ -165,13 +165,18 @@ def impact_thm7_bound(net: AcquaintanceNetwork, psi: float | None) -> float | No
     return (2.0 * net.influence_mass / n) * (1.0 + math.log(n)) / psi
 
 
+def round12(value: float) -> float:
+    """``value`` rounded to 12 significant digits, the precision reports are written at."""
+    return float(f"{value:.12g}")
+
+
 def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
     """Descending impact ranking with normalized scores and premium tiers.
 
-    Sorting uses impacts rounded to 12 significant digits (the precision
-    reports serialize at), so clients whose printed impacts are equal tie
-    and break by node id; solver noise at the last bits cannot reorder
-    mathematically equal clients.  Top quartile of ranks is tagged for
+    Sorting uses impacts rounded by ``round12``, the precision reports
+    serialize at, so clients whose printed impacts are equal tie and break
+    by node id; solver noise at the last bits cannot reorder mathematically
+    equal clients.  Top quartile of ranks is tagged for
     incentives, bottom quartile for standard contracts, the middle for
     review.  When every impact is zero (below 1e-13 in magnitude, covering
     solver noise on influence-free networks) all nodes tie: ranks follow
@@ -182,7 +187,7 @@ def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
     peak = float(np.max(np.abs(impacts))) if n else 0.0
     if peak <= ZERO_IMPACT_FLOOR:
         return [ClientRank(node=k, impact=float(impacts[k]), score=0.0, rank=k + 1, tier=TIER_REVIEW) for k in range(n)]
-    order = sorted(range(n), key=lambda k: (-float(f"{impacts[k]:.12g}"), k))
+    order = sorted(range(n), key=lambda k: (-round12(impacts[k]), k))
     quart = math.ceil(n / 4)
     ranking = []
     for rank, node in enumerate(order, start=1):

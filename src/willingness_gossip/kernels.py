@@ -19,8 +19,10 @@ therefore applies blocks of at least 4n meetings without tracking
 anything and takes the spread once per block; the block that ends at or
 below tol is bisected, one ``max(w) - min(w)`` per halving, down to the
 meeting that reaches it.  Recording splits the chunk at the recorded
-slots instead of testing every slot.  The caller sizes each chunk to the
-slots a replica may still spend, so the kernel knows no budget.
+slots instead of testing every slot; the kernel records only those a
+replica passes before it stops, and ``gossip._run`` writes the rest of
+the trace.  The caller sizes each chunk to the slots a replica may still
+spend, so the kernel knows no budget.
 
 The conductance scan evaluates every subset A containing node 0 by
 meet-in-the-middle (Horowitz & Sahni, JACM 1974).  The nodes split into a
@@ -268,8 +270,10 @@ def gossip_chunk(
     gives the stop slot.  The stop slot and the spread are those of a
     slot-by-slot check.  With ``record_every`` > 0, replica q appends
     ``(slot, spread, w.copy())`` to ``records[q]`` at every slot that is a
-    multiple of it: the loop runs from one such slot to the next and never
-    tests for them.  Returns one (slot, spread) per replica.
+    multiple of it and comes before its stop slot: the loop runs from one
+    such slot to the next and never tests for them.  The stop slot's state
+    is the final one, which ``gossip._run`` records.  Returns one
+    (slot, spread) per replica.
     """
     group = len(ws)
     count = uniforms.shape[0] // group
@@ -296,8 +300,6 @@ def gossip_chunk(
             if mark:
                 records[q].append((mark, spread, w.copy()))
             lo = cut
-        if stop and record_every and stop % record_every == 0:
-            records[q].append((stop, spread, w.copy()))
         out.append((stop or end, spread))
         lo = cuts[q][-1]
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gossip import EnsembleSummary, simulate_ensemble
-from .impact import ImpactReport, build_impact_report
+from .impact import ImpactReport, build_impact_report, round12
 from .meanfield import build_mean_matrices, stationary_distribution, stationary_perturbation
 # Not called here: perfbench/tracing.py wraps report.build_passage_data by name.
 from .meanfield import build_passage_data  # noqa: F401
@@ -53,11 +53,11 @@ class RunConfig:
 
 
 def _fmt(value):
-    """Round floats to 12 significant digits; refuse silent non-finites."""
+    """Round floats with ``round12``; refuse silent non-finites."""
     v = float(value)
     if not math.isfinite(v):
         return None
-    return float(f"{v:.12g}")
+    return round12(v)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -371,6 +371,38 @@ def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["analyze", "--out", "{out}", "--trace", "{out}"], ("--out", "--trace")),
+        (["analyze", "--out", "{net}"], ("--network", "--out")),
+        (["simulate", "--trace", "{net}"], ("--network", "--trace")),
+        (["analyze", "--out", "out.json", "--trace", "{out}"], ("--out", "--trace")),
+    ],
+    ids=["analyze-out-is-trace", "analyze-out-is-network", "simulate-trace-is-network", "relative-and-absolute"],
+)
+def test_one_file_named_by_two_flags_is_usage_error(tmp_path, capsys, monkeypatch, argv, flags):
+    """Unrefused, ``analyze --out F --trace F`` said "report written to F" and left the trace CSV in F."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the paths are checked before any work")
+
+    for name in ("load_network", "analyze", "simulate_ensemble", "run_replica"):
+        monkeypatch.setattr(cli, name, not_called)
+    monkeypatch.chdir(tmp_path)
+    net = tmp_path / "net.json"
+    net.write_text(serialize_network(two_node_influencer()), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [a.format(net=net, out=out) for a in argv] + ["--network", str(net)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flags[0]} and {flags[1]} name the same file" in captured.err
+    assert captured.out == ""
+    assert net.read_text(encoding="utf-8") == serialize_network(two_node_influencer())
+    assert not out.exists()
+
+
 def test_output_probe_leaves_files_as_it_found_them(tmp_path, capsys):
     kept = tmp_path / "kept.csv"
     kept.write_text("old")

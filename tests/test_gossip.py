@@ -304,6 +304,53 @@ class TestRunReplica:
             assert trace.spread[t + 1] == w.max() - w.min(), t
 
 
+def folded_states(net, seed, max_slots, tol, record_every):
+    """The states ``run_replica`` records, folded slot by slot with ``apply_meeting``: [(slot, spread, values)].
+
+    Slot 0, each multiple of ``record_every`` before the run ends, and the
+    final state, each once.  The stream is drawn one slot at a time.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    sampler = build_sampler(net)
+    w = net.w0
+    states = [(0, w.max() - w.min(), w)]
+    while states[-1][1] > tol and len(states) <= max_slots:
+        i, j, kind = (int(v[0]) for v in decode_meetings(*sampler, rng.random((1, 3))))
+        w = apply_meeting(w, i, j, kind, net.delta)
+        states.append((len(states), w.max() - w.min(), w))
+    last = len(states) - 1
+    return [st for st in states if st[0] in (0, last) or (record_every and st[0] % record_every == 0)]
+
+
+# (max_slots, tol, record_every, settled w0, slots_used, converged); seed 18 reaches tol 1e-6 at slot 285
+RUN_ENDS = {
+    "stop-on-a-mark": (10**6, 1e-6, 15, False, 285, True),
+    "stop-between-marks": (10**6, 1e-6, 9, False, 285, True),
+    "budget-end-on-a-mark": (90, 1e-6, 9, False, 90, False),
+    "budget-end-off-a-mark": (95, 1e-6, 9, False, 95, False),
+    "record-every-0": (10**6, 1e-6, 0, False, 285, True),
+    "w0-within-tol": (10**6, 1e-6, 9, True, 0, True),
+}
+
+
+@pytest.mark.parametrize("case", RUN_ENDS)
+def test_run_replica_records_the_final_state_once_and_equals_the_fold(case):
+    max_slots, tol, record_every, settled, slots_used, converged = RUN_ENDS[case]
+    net = random_network(np.random.default_rng(8), 9)
+    if settled:
+        net = dataclasses.replace(net, w0=np.full(9, 0.25) + np.arange(9) * 1e-8)
+    trace = run_replica(net, max_slots=max_slots, tol=tol, record_every=record_every, seed=18)
+    assert (trace.slots_used, trace.converged) == (slots_used, converged)
+    assert trace.slots.tolist().count(slots_used) == 1 and trace.slots[-1] == slots_used
+    want = folded_states(net, 18, max_slots, tol, record_every)
+    # repr compares floats exactly, the sign of zero included
+    assert repr(list(zip(trace.slots.tolist(), trace.spread.tolist(), trace.snapshots.tolist()))) == repr(
+        [(slot, float(spread), w.tolist()) for slot, spread, w in want]
+    )
+    assert repr(trace.final.tolist()) == repr(want[-1][2].tolist())
+    assert trace.value == float(trace.final.mean())
+
+
 class TestEnsemble:
     def test_regular_pair_exact(self, regular_pair):
         ens = simulate_ensemble(regular_pair, replicas=64, seed=0)
