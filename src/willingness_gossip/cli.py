@@ -3,7 +3,9 @@
 Every flag can also be set through an environment variable named after it
 with the ``WG_`` prefix (``--max-slots`` -> ``WG_MAX_SLOTS``); explicit
 flags win, and a variable's value must pass the flag's own checks (a
-variable for a flag the subcommand does not have is ignored).
+variable for a flag the subcommand does not have is ignored).  A flag
+absent from both the command line and the environment takes
+``RunConfig``'s default.
 Exit codes: 0 ok, 1 IO/parse failure, 2 invalid network (or invalid
 arguments), 3 no replica converged, 4 partial analysis failure.
 """
@@ -15,7 +17,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .errors import NetworkFormatError
@@ -34,13 +35,6 @@ EXIT_PARTIAL = 4
 MAX_REPLICAS = 10**7
 
 
-class EnvValue(NamedTuple):
-    """A WG_* variable's text, held as a flag default that argparse leaves unconverted."""
-
-    name: str
-    text: str
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgossip",
@@ -49,43 +43,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def env(name, fallback=None):
-        return EnvValue(name, os.environ[name]) if name in os.environ else fallback
+    # A flag left off the command line leaves no attribute; resolve_config fills it.
+    commands = {}
+    for name, text in (
+        ("validate", "check the network invariants"),
+        ("simulate", "run a replica ensemble"),
+        ("analyze", "full spectral/impact report"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--network", required="WG_NETWORK" not in os.environ, help="path to the network JSON document")
+        if name != "validate":
+            p.add_argument("--replicas", type=int)
+            p.add_argument("--max-slots", type=int)
+            p.add_argument("--tol", type=float)
+            p.add_argument("--seed", type=int)
 
-    def add_common(p, simulation: bool):
-        p.add_argument(
-            "--network",
-            default=env("WG_NETWORK"),
-            required="WG_NETWORK" not in os.environ,
-            help="path to the network JSON document",
-        )
-        if simulation:
-            p.add_argument("--replicas", type=int, default=env("WG_REPLICAS", RunConfig.replicas))
-            p.add_argument("--max-slots", type=int, default=env("WG_MAX_SLOTS", RunConfig.max_slots))
-            p.add_argument("--tol", type=float, default=env("WG_TOL", RunConfig.tol))
-            p.add_argument("--seed", type=int, default=env("WG_SEED", RunConfig.seed))
-
-    p_validate = sub.add_parser("validate", help="check the network invariants")
-    add_common(p_validate, simulation=False)
-
-    p_sim = sub.add_parser("simulate", help="run a replica ensemble")
-    add_common(p_sim, simulation=True)
-    p_sim.add_argument("--trace", default=env("WG_TRACE"), help="write replica 0's trace CSV here")
-
-    p_an = sub.add_parser("analyze", help="full spectral/impact report")
-    add_common(p_an, simulation=True)
-    # The analyze namespace holds exactly RunConfig's fields.
-    p_an.add_argument("--mixing-threshold", type=float, default=env("WG_MIXING_THRESHOLD", RunConfig.mixing_threshold))
+    p_an = commands["analyze"]
+    p_an.add_argument("--mixing-threshold", type=float)
     p_an.add_argument(
         "--conductance",
         dest="conductance_mode",
         choices=["exact", "skip"],
-        default=env("WG_CONDUCTANCE"),
         help="subset-enumeration mode (default: exact up to n=20, then skip)",
     )
-    p_an.add_argument("--format", choices=["json", "csv"], default=env("WG_FORMAT", RunConfig.format))
-    p_an.add_argument("--out", default=env("WG_OUT"), help="output path (default stdout)")
-    p_an.add_argument("--trace", default=env("WG_TRACE"), help="write replica 0's trace CSV here")
+    p_an.add_argument("--format", choices=["json", "csv"])
+    p_an.add_argument("--out", help="output path (default stdout)")
+    for name in ("simulate", "analyze"):
+        commands[name].add_argument("--trace", help="write replica 0's trace CSV here")
     return parser
 
 
@@ -138,10 +122,10 @@ def _writable(path: str, what: str) -> bool:
     return True
 
 
-def _write_trace(net, args) -> bool:
+def _write_trace(net, config: RunConfig) -> bool:
     """Re-run replica 0 of the ensemble with recording and write its trace CSV; False if unwritable."""
-    trace = run_replica(net, max_slots=args.max_slots, tol=args.tol, seed=replica_seed(args.seed, 0))
-    return _write(args.trace, "trace", lambda path: write_trace_csv(path, trace))
+    trace = run_replica(net, max_slots=config.max_slots, tol=config.tol, seed=replica_seed(config.seed, 0))
+    return _write(config.trace, "trace", lambda path: write_trace_csv(path, trace))
 
 
 def _emit(out: str | None, text: str, what: str) -> bool:
@@ -155,60 +139,76 @@ def _emit(out: str | None, text: str, what: str) -> bool:
     return True
 
 
-def _check_args(parser: argparse.ArgumentParser, args) -> str | None:
-    # A WG_* value left as the default of a flag the chosen subcommand has
-    # is converted and checked here, against the flag's own type and choices.
+def _file_key(path: str):
+    """The file ``path`` names: its device and inode when it exists, so hard links match, else its real path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
+def resolve_config(argv=None) -> RunConfig:
+    """Parse ``argv`` into the run's ``RunConfig``; a usage error exits 2.
+
+    A flag absent from the command line is read from its ``WG_*``
+    variable, converted and checked against the flag's own type and
+    choices; a flag absent from both takes ``RunConfig``'s default.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     for action in command._actions:
-        value = getattr(args, action.dest, None)
-        if not isinstance(value, EnvValue):
+        name = "WG_" + action.option_strings[-1][2:].upper().replace("-", "_")
+        if action.dest == "help" or action.dest in args or name not in os.environ:
             continue
+        text = os.environ[name]
         try:
-            converted = action.type(value.text) if action.type else value.text
+            value = action.type(text) if action.type else text
         except ValueError:
-            return f"invalid {action.type.__name__} value for {value.name}: {value.text!r}"
-        if action.choices and converted not in action.choices:
-            choices = ", ".join(action.choices)
-            return f"invalid value for {value.name}: {value.text!r} (choose from {choices})"
-        setattr(args, action.dest, converted)
-    if not 1 <= getattr(args, "replicas", 1) <= MAX_REPLICAS:
-        return f"--replicas must lie in [1, {MAX_REPLICAS}]"
-    if getattr(args, "max_slots", 1) < 1:
-        return "--max-slots must be >= 1"
-    if not (0 < getattr(args, "tol", 1.0) < math.inf):
-        return "--tol must be positive and finite"
-    if getattr(args, "seed", 0) < 0:
-        return "--seed must be >= 0"
-    thr = getattr(args, "mixing_threshold", RunConfig.mixing_threshold)
-    if not (0.0 < thr < 2.0):
-        return "--mixing-threshold must lie in (0, 2)"
+            parser.error(f"invalid {action.type.__name__} value for {name}: {text!r}")
+        if action.choices and value not in action.choices:
+            parser.error(f"invalid value for {name}: {text!r} (choose from {', '.join(action.choices)})")
+        setattr(args, action.dest, value)
+    config = RunConfig(**vars(args))
+
+    if not 1 <= config.replicas <= MAX_REPLICAS:
+        parser.error(f"--replicas must lie in [1, {MAX_REPLICAS}]")
+    if config.max_slots < 1:
+        parser.error("--max-slots must be >= 1")
+    if not (0 < config.tol < math.inf):
+        parser.error("--tol must be positive and finite")
+    if config.seed < 0:
+        parser.error("--seed must be >= 0")
+    if not (0.0 < config.mixing_threshold < 2.0):
+        parser.error("--mixing-threshold must lie in (0, 2)")
     # a file named twice would be overwritten by the later write, or the input by an output
     named = {}
     for flag in ("network", "out", "trace"):
-        path = getattr(args, flag, None)
+        path = getattr(config, flag)
         if path:
-            first = named.setdefault(os.path.realpath(path), flag)
+            first = named.setdefault(_file_key(path), flag)
             if first != flag:
-                return f"--{first} and --{flag} name the same file: {path}"
-    return None
+                parser.error(f"--{first} and --{flag} name the same file: {path}")
+    return config
 
 
-def cmd_validate(args) -> int:
-    net, code = _load_valid(args.network)
+def cmd_validate(config: RunConfig) -> int:
+    net, code = _load_valid(config.network)
     if net is None:
         return code
     print(f"network OK: n={net.n}, edges={net.edges[0].size}, delta={net.delta}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    net, code = _load_valid(args.network)
+def cmd_simulate(config: RunConfig) -> int:
+    net, code = _load_valid(config.network)
     if net is None:
         return code
-    if args.trace and not _writable(args.trace, "trace"):
+    if config.trace and not _writable(config.trace, "trace"):
         return EXIT_PARSE
 
-    ens = simulate_ensemble(net, replicas=args.replicas, max_slots=args.max_slots, tol=args.tol, seed=args.seed)
+    ens = simulate_ensemble(net, replicas=config.replicas, max_slots=config.max_slots, tol=config.tol, seed=config.seed)
     print(f"replicas: {ens.replicas}")
     print(f"converged: {ens.converged_count} ({100.0 * ens.convergence_rate:.2f}%)")
     if ens.converged_count:
@@ -216,48 +216,40 @@ def cmd_simulate(args) -> int:
         print(f"standard error: {ens.stderr:.12g}")
     print(f"mean slots: {ens.mean_slots:.1f}, max slots: {ens.max_slots_used}")
 
-    if args.trace:
-        if not _write_trace(net, args):
+    if config.trace:
+        if not _write_trace(net, config):
             return EXIT_PARSE
-        print(f"trace written to {args.trace}")
+        print(f"trace written to {config.trace}")
 
     return EXIT_OK if ens.converged_count > 0 else EXIT_NO_CONVERGENCE
 
 
-def cmd_analyze(args) -> int:
-    net, code = _load_valid(args.network)
+def cmd_analyze(config: RunConfig) -> int:
+    net, code = _load_valid(config.network)
     if net is None:
         return code
-    what = "report" if args.format == "json" else "impact table"
-    if (args.out and not _writable(args.out, what)) or (args.trace and not _writable(args.trace, "trace")):
+    what = "report" if config.format == "json" else "impact table"
+    if (config.out and not _writable(config.out, what)) or (config.trace and not _writable(config.trace, "trace")):
         return EXIT_PARSE
 
-    payload, ok, impact_report = analyze(net, RunConfig(**vars(args)))
+    payload, ok, impact_report = analyze(net, config)
 
-    if args.format == "json":
-        written = _emit(args.out, render_json(payload), what)
+    if config.format == "json":
+        written = _emit(config.out, render_json(payload), what)
     elif impact_report is None:
         print("impact analysis failed; no CSV to write", file=sys.stderr)
         written = True
     else:
-        written = _emit(args.out, render_impact_csv(impact_report), what)
-    if not written or (args.trace and not _write_trace(net, args)):
+        written = _emit(config.out, render_impact_csv(impact_report), what)
+    if not written or (config.trace and not _write_trace(net, config)):
         return EXIT_PARSE
 
     return EXIT_OK if ok else EXIT_PARTIAL
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    problem = _check_args(parser, args)
-    if problem:
-        parser.error(problem)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return cmd_analyze(args)
+    config = resolve_config(argv)
+    return {"validate": cmd_validate, "simulate": cmd_simulate, "analyze": cmd_analyze}[config.command](config)
 
 
 if __name__ == "__main__":

@@ -258,7 +258,11 @@ def serialize_network(net: AcquaintanceNetwork) -> str:
 
 def load_network(path: str) -> AcquaintanceNetwork:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise NetworkFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_network(text)
 
 
 def reachable(tails: np.ndarray, heads: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int]:

@@ -1,4 +1,6 @@
+import argparse
 import copy
+import dataclasses
 import errno
 import functools
 import json
@@ -63,12 +65,12 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"n": ' + "9" * 5000 + "}", "[" * 100000],
-        ids=["integer-over-digit-limit", "nested-too-deeply"],
+        [b'{"n": ' + b"9" * 5000 + b"}", b"[" * 100000, b"\xff\xfe{}"],
+        ids=["integer-over-digit-limit", "nested-too-deeply", "not-utf-8"],
     )
     def test_json_beyond_parser_limits_is_parse_error(self, tmp_path, capsys, text):
         path = tmp_path / "limits.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         assert main(["validate", "--network", str(path)]) == 1
         err = capsys.readouterr().err
         assert "network parse error" in err
@@ -340,6 +342,52 @@ def test_negative_seed_env_is_ignored_by_validate(influencer_pair_path, monkeypa
     assert main(["validate", "--network", influencer_pair_path]) == 0
 
 
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+# flag -> (its variable, a valid value other than RunConfig's default, that value converted)
+VARIABLES = {
+    "--network": ("WG_NETWORK", "env.json", "env.json"),
+    "--replicas": ("WG_REPLICAS", "7", 7),
+    "--max-slots": ("WG_MAX_SLOTS", "9", 9),
+    "--tol": ("WG_TOL", "0.5", 0.5),
+    "--seed": ("WG_SEED", "3", 3),
+    "--mixing-threshold": ("WG_MIXING_THRESHOLD", "1.5", 1.5),
+    "--conductance": ("WG_CONDUCTANCE", "skip", "skip"),
+    "--format": ("WG_FORMAT", "csv", "csv"),
+    "--out": ("WG_OUT", "o.json", "o.json"),
+    "--trace": ("WG_TRACE", "t.csv", "t.csv"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    [(name, a) for name, p in SUBCOMMANDS.items() for a in p._actions if a.dest != "help"],
+    ids=lambda v: v if isinstance(v, str) else v.option_strings[-1][2:],
+)
+def test_each_flag_is_read_from_its_variable(tmp_path, monkeypatch, command, action):
+    """Only the flag's ``WG_*`` variable is set; the command's ``RunConfig`` holds its value and every other default."""
+    for name in [k for k in os.environ if k.startswith("WG_")]:
+        monkeypatch.delenv(name)
+    seen = []
+    for name in ("cmd_validate", "cmd_simulate", "cmd_analyze"):
+        monkeypatch.setattr(cli, name, seen.append)
+    monkeypatch.chdir(tmp_path)
+    flag = action.option_strings[-1]
+    variable, text, value = VARIABLES[flag]
+    monkeypatch.setenv(variable, text)
+    main([command] + ([] if flag == "--network" else ["--network", "net.json"]))
+    assert value != getattr(RunConfig, action.dest, None)
+    assert seen == [RunConfig(**{"command": command, "network": "net.json", action.dest: value})]
+
+
+def test_every_default_comes_from_run_config():
+    """No option carries a default of its own: a flag left off leaves no attribute, and ``RunConfig`` fills it."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for command in SUBCOMMANDS.values():
+        for action in command._actions:
+            assert action.default is argparse.SUPPRESS, action.option_strings
+            assert action.dest == "help" or action.dest in fields
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "parent-is-file"])
 @pytest.mark.parametrize(
     "argv, what",
@@ -378,8 +426,12 @@ def test_unwritable_output_is_io_failure(influencer_pair_path, tmp_path, capsys,
         (["analyze", "--out", "{net}"], ("--network", "--out")),
         (["simulate", "--trace", "{net}"], ("--network", "--trace")),
         (["analyze", "--out", "out.json", "--trace", "{out}"], ("--out", "--trace")),
+        (["simulate", "--trace", "{link}"], ("--network", "--trace")),
     ],
-    ids=["analyze-out-is-trace", "analyze-out-is-network", "simulate-trace-is-network", "relative-and-absolute"],
+    ids=[
+        "analyze-out-is-trace", "analyze-out-is-network", "simulate-trace-is-network", "relative-and-absolute",
+        "hard-link-to-network",
+    ],
 )
 def test_one_file_named_by_two_flags_is_usage_error(tmp_path, capsys, monkeypatch, argv, flags):
     """Unrefused, ``analyze --out F --trace F`` said "report written to F" and left the trace CSV in F."""
@@ -391,8 +443,10 @@ def test_one_file_named_by_two_flags_is_usage_error(tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     net = tmp_path / "net.json"
     net.write_text(serialize_network(two_node_influencer()), encoding="utf-8")
+    link = tmp_path / "link.json"
+    os.link(net, link)
     out = tmp_path / "out.json"
-    argv = [a.format(net=net, out=out) for a in argv] + ["--network", str(net)]
+    argv = [a.format(net=net, out=out, link=link) for a in argv] + ["--network", str(net)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

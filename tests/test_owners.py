@@ -56,6 +56,17 @@ def test_gossip_chunk_appends_records_only_at_marks():
     assert appends == ["records[q].append((mark, spread, w.copy()))"]
 
 
+def test_one_rule_names_every_flags_variable():
+    """``cli.resolve_config`` derives each flag's ``WG_*`` variable from the flag, from the one ``"WG_"`` prefix.
+
+    ``build_parser`` spells out ``WG_NETWORK`` alone: a set variable makes ``--network`` optional.
+    """
+    names = owners(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("WG_")
+    )
+    assert sorted(names) == [("cli.py", "build_parser"), ("cli.py", "resolve_config")]
+
+
 def test_warmup_builds_its_table_with_build_sampler(monkeypatch):
     """``kernels.warmup`` lays out no meeting table of its own."""
     build = kernels.build_sampler
