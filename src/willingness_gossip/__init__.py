@@ -34,7 +34,6 @@ from .meanfield import (
 )
 from .network import (
     AcquaintanceNetwork,
-    EdgePartition,
     ValidationReport,
     diameter,
     edge_partition,

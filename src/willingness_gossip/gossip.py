@@ -20,6 +20,9 @@ import numpy as np
 from . import kernels
 from .network import AcquaintanceNetwork
 
+# A replica's slot budget and the spread it stops at, unless the caller sets them.
+DEFAULT_MAX_SLOTS = 10**6
+DEFAULT_TOL = 1e-6
 # Caps a replica's chunk of slots in a round and the uniforms rows one kernel call decodes.
 _CHUNK_SLOTS = 4096
 # An ensemble runs its replicas in waves of at most this many replicas and
@@ -177,8 +180,8 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
 
 def run_replica(
     net: AcquaintanceNetwork,
-    max_slots: int = 10**6,
-    tol: float = 1e-6,
+    max_slots: int = DEFAULT_MAX_SLOTS,
+    tol: float = DEFAULT_TOL,
     record_every: int | None = None,
     seed: int | np.random.SeedSequence = 0,
 ) -> SimulationTrace:
@@ -215,8 +218,8 @@ def run_replica(
 def simulate_ensemble(
     net: AcquaintanceNetwork,
     replicas: int,
-    max_slots: int = 10**6,
-    tol: float = 1e-6,
+    max_slots: int = DEFAULT_MAX_SLOTS,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> EnsembleSummary:
     """Run independent replicas and summarize their converged values.

@@ -31,13 +31,16 @@ TIER_STANDARD = "standard"
 
 @dataclass(frozen=True)
 class Thm6Result:
-    """Closed-form impacts for a single-influential-bridge network."""
+    """Closed-form impacts for a single-influential-bridge network.
+
+    ``side_i`` and ``side_j`` hold the nodes of i's and j's side in ascending order.
+    """
 
     values: np.ndarray
     mu: float
     edge: tuple[int, int]
-    side_i: frozenset[int]
-    side_j: frozenset[int]
+    side_i: np.ndarray
+    side_j: np.ndarray
     residual: float
 
 
@@ -124,28 +127,24 @@ def impact_thm6(net: AcquaintanceNetwork, exact: np.ndarray) -> Thm6Result:
         raise Thm6InapplicableError(f"multiple influential edges ({influential.size})")
     e = influential[0]
     i, j = int(net.tails[e]), int(net.heads[e])
-    partition = edge_partition(net, i, j)
-    if partition is None:
+    side = edge_partition(net, i, j)
+    if side is None:
         raise Thm6InapplicableError(f"influential edge ({i}, {j}) is not a bridge")
     s = net.social
     mu = float(q[e] / (s[e] + s[(net.tails == j) & (net.heads == i)].sum()))  # the sum is 0.0 if (j, i) is not listed
-    size_i = len(partition.side_i)
-    size_j = len(partition.side_j)
+    size_i = int(side.sum())
+    size_j = n - size_i
     denom = 1.0 - (mu / n) * (size_i + (2.0 * net.delta - 1.0) * size_j)
     if denom == 0.0:
         raise Thm6InapplicableError("degenerate closed-form denominator")
     base = (2.0 / (n * n)) * mu * (1.0 - net.delta) / denom
-    values = np.empty(n)
-    for k in partition.side_j:
-        values[k] = base * size_i
-    for k in partition.side_i:
-        values[k] = -base * size_j
+    values = np.where(side, -base * size_j, base * size_i)
     return Thm6Result(
         values=values,
         mu=mu,
         edge=(i, j),
-        side_i=partition.side_i,
-        side_j=partition.side_j,
+        side_i=np.flatnonzero(side),
+        side_j=np.flatnonzero(~side),
         residual=float(np.max(np.abs(values - exact))),
     )
 

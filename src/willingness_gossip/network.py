@@ -115,19 +115,6 @@ def dense(net: AcquaintanceNetwork, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EdgePartition:
-    """Two-sided node split produced by removing a bridge edge.
-
-    ``side_i`` contains the edge's tail i, ``side_j`` its head j; together
-    they partition the node set.
-    """
-
-    removed_edge: tuple[int, int]
-    side_i: frozenset[int]
-    side_j: frozenset[int]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_network`; violations are data, not faults."""
 
@@ -373,13 +360,13 @@ def diameter(net: AcquaintanceNetwork) -> int:
     return hops
 
 
-def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | None:
+def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> np.ndarray | None:
     """Split the node set by removing undirected edge {i, j}.
 
-    Returns the two components (i's side first) when the undirected support
-    graph minus {i, j} is disconnected, or ``None`` when the edge is not a
-    bridge.  Bridges are undirected because the social matrix built from
-    the network is symmetric.
+    Returns the bool mask of i's side (its complement is j's side) when the
+    undirected support graph minus {i, j} is disconnected, or ``None`` when
+    the edge is not a bridge.  Bridges are undirected because the social
+    matrix built from the network is symmetric.
     """
     if not (0 <= i < net.n and 0 <= j < net.n) or i == j:
         raise ValueError(f"invalid node pair ({i}, {j})")
@@ -390,8 +377,4 @@ def edge_partition(net: AcquaintanceNetwork, i: int, j: int) -> EdgePartition | 
     tails, heads = tails[~pair], heads[~pair]
     # each edge in both directions; a pair met both ways is then listed twice
     seen = reachable(np.concatenate((tails, heads)), np.concatenate((heads, tails)), np.arange(net.n) == i)[0]
-    if seen[j]:
-        return None
-    side_i = frozenset(np.nonzero(seen)[0].tolist())
-    side_j = frozenset(np.nonzero(~seen)[0].tolist())
-    return EdgePartition(removed_edge=(i, j), side_i=side_i, side_j=side_j)
+    return None if seen[j] else seen

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gossip import EnsembleSummary, simulate_ensemble
+from .gossip import DEFAULT_MAX_SLOTS, DEFAULT_TOL, EnsembleSummary, simulate_ensemble
 from .impact import ImpactReport, build_impact_report, round12
 from .meanfield import build_mean_matrices, stationary_distribution, stationary_perturbation
 # Not called here: perfbench/tracing.py wraps report.build_passage_data by name.
@@ -37,8 +37,8 @@ class RunConfig:
     command: str
     network: str
     replicas: int = 1000
-    max_slots: int = 10**6
-    tol: float = 1e-6
+    max_slots: int = DEFAULT_MAX_SLOTS
+    tol: float = DEFAULT_TOL
     seed: int = 0
     mixing_threshold: float = DEFAULT_MIXING_THRESHOLD
     conductance_mode: str | None = None  # None = auto (exact up to n=20)

@@ -326,18 +326,17 @@ class TestReachable:
 
 class TestEdgePartition:
     def test_pair_bridge(self, influencer_pair):
-        part = edge_partition(influencer_pair, 0, 1)
-        assert part.side_i == frozenset({0})
-        assert part.side_j == frozenset({1})
+        side = edge_partition(influencer_pair, 0, 1)
+        np.testing.assert_array_equal(side, [True, False])
 
     def test_cycle_has_no_bridge(self):
         assert edge_partition(cycle(4), 0, 1) is None
 
     def test_barbell_bridge(self):
         net = barbell(3)
-        part = edge_partition(net, 2, 3)
-        assert part.side_i == frozenset({0, 1, 2})
-        assert part.side_j == frozenset({3, 4, 5})
+        side = edge_partition(net, 2, 3)
+        np.testing.assert_array_equal(np.flatnonzero(side), [0, 1, 2])
+        np.testing.assert_array_equal(np.flatnonzero(~side), [3, 4, 5])
 
     def test_not_an_edge(self):
         net = path(4)
@@ -348,10 +347,10 @@ class TestEdgePartition:
         for a in range(1, 5):
             for b in range(1, 5):
                 net = bridged_clusters(a, b)
-                part = edge_partition(net, a - 1, a)
-                assert part is not None
-                assert part.side_i | part.side_j == frozenset(range(net.n))
-                assert not (part.side_i & part.side_j)
+                side = edge_partition(net, a - 1, a)
+                assert side is not None
+                assert side.dtype == bool and side.shape == (net.n,)
+                np.testing.assert_array_equal(np.flatnonzero(side), np.arange(a))
 
 
 def test_complete_graph_all_edges():

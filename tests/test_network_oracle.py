@@ -92,17 +92,15 @@ def test_edge_partition(net):
     g = digraph(net).to_undirected()
     bridges = {frozenset(e) for e in nx.bridges(g)}
     connected = nx.is_connected(g)
-    everyone = frozenset(range(net.n))
     for i, j in edge_pairs(net):
-        part = edge_partition(net, i, j)
+        side = edge_partition(net, i, j)
         g.remove_edge(i, j)
-        side_i = frozenset(nx.node_connected_component(g, i))
-        side_j = frozenset(nx.node_connected_component(g, j))
+        side_i = sorted(nx.node_connected_component(g, i))
+        side_j = sorted(nx.node_connected_component(g, j))
         g.add_edge(i, j)
-        assert (part is None) == (frozenset((i, j)) not in bridges) == (j in side_i)
-        if part is not None:
-            assert part.removed_edge == (i, j)
-            assert part.side_i == side_i
-            assert part.side_j == everyone - side_i
+        assert (side is None) == (frozenset((i, j)) not in bridges) == (j in side_i)
+        if side is not None:
+            assert side.dtype == bool and side.shape == (net.n,)
+            assert np.flatnonzero(side).tolist() == side_i
             if connected:
-                assert part.side_j == side_j
+                assert np.flatnonzero(~side).tolist() == side_j

@@ -67,6 +67,27 @@ def test_one_rule_names_every_flags_variable():
     assert sorted(names) == [("cli.py", "build_parser"), ("cli.py", "resolve_config")]
 
 
+def test_simulation_defaults_have_one_owner():
+    """Every ``max_slots`` or ``tol`` default in the package is ``gossip.DEFAULT_MAX_SLOTS`` or ``gossip.DEFAULT_TOL``."""
+    owner = {"max_slots": "DEFAULT_MAX_SLOTS", "tol": "DEFAULT_TOL"}
+    defaults = []  # (parameter or field name, default expression)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arguments):
+                params = node.posonlyargs + node.args
+                pairs = zip(params[len(params) - len(node.defaults):], node.defaults)
+                defaults += [(arg.arg, value) for arg, value in [*pairs, *zip(node.kwonlyargs, node.kw_defaults)]]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defaults.append((node.target.id, node.value))
+    found = [(name, ast.unparse(value)) for name, value in defaults if name in owner and value is not None]
+    assert found and all(value == owner[name] for name, value in found), found
+
+
+def test_node_sets_are_masks_or_index_arrays():
+    """No ``frozenset(...)`` call in the package: a node set is a bool mask or an index array."""
+    assert owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "frozenset") == []
+
+
 def test_warmup_builds_its_table_with_build_sampler(monkeypatch):
     """``kernels.warmup`` lays out no meeting table of its own."""
     build = kernels.build_sampler

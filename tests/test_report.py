@@ -1,6 +1,7 @@
 """``report.render_json`` against the two-pass reference renderer, byte for byte."""
 
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from test_network_oracle import CORPUS
 
 from willingness_gossip import report
 from willingness_gossip.errors import NumericalError
-from willingness_gossip.fixtures import bridged_clusters, random_network, two_node_influencer
+from willingness_gossip.fixtures import barbell, bridged_clusters, random_network, two_node_influencer
 from willingness_gossip.report import RunConfig, analyze, render_json
 
 
@@ -106,3 +107,24 @@ def test_render_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+# sha256 of each network's report JSON: every section's value, the ensemble's included, is pinned.
+REPORT_SHA256 = {
+    "barbell-4": "8110d49652418c484e03408b7ec2aa861b120749d7bf337377f78a8cd366e010",
+    "bridged-5-6": "e23256eaec2e804aa3c8bda523b774b0557a527afdd0a328565ab0645b3393b4",
+    "random-n50": "e2f628dc9f9630eb2f926a210680b282963ab5c957c52ffdac2a9ee3e21ba268",
+}
+
+
+@pytest.mark.parametrize(
+    "label, make_net",
+    [
+        ("barbell-4", lambda: barbell(4)),
+        ("bridged-5-6", lambda: bridged_clusters(5, 6, influence=0.5)),
+        ("random-n50", lambda: random_network(np.random.default_rng(1), 50, 8 / 50)),
+    ],
+)
+def test_report_bytes_are_pinned(label, make_net):
+    payload = payload_of(make_net(), 40, network="net.json")
+    assert hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest() == REPORT_SHA256[label]
