@@ -9,11 +9,26 @@ results do not depend on execution order.  The ensemble advances all live
 replicas round by round and hands the kernel groups of them at once;
 ``run_replica`` is the one-replica group that records its trajectory.
 ``_run`` owns each replica's outcome and its trace's first and last states.
+
+An ensemble wave with at least ``_MIN_SHARE`` replicas for each usable CPU
+is cut into one contiguous share of its seeds per CPU.  The caller runs
+the first share and helper processes run the others; the outcomes are
+joined back in replica order, so the summary does not depend on the
+shares.  Helpers are forked on the first wave that splits and serve until
+their request pipe reaches end of file: when the caller exits (an
+``atexit`` hook closes the pipes and reaps them) or dies.  They loop on
+pickles over two ``os.pipe``s rather than use ``multiprocessing``, whose
+import alone would add 0.64 MiB to every process.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -30,6 +45,23 @@ _CHUNK_SLOTS = 4096
 # so its memory does not grow with the replica count.
 _WAVE_REPLICAS = 1024
 _WAVE_VALUES = 1 << 18
+# A wave splits only when every process gets at least this many replicas.
+# With both cores running, a split already wins at 2 a process; at 8 its
+# fixed cost (pickles, pipes, a second sampler) stays under about 15% of
+# the wave when the helper's core is busy (measured, see CHANGES.md).
+_MIN_SHARE = 8
+
+
+class _Helper(NamedTuple):
+    """A forked process that runs shares of this process's waves: its pid and the caller's ends of its two pipes."""
+
+    pid: int
+    requests: BinaryIO
+    replies: BinaryIO
+
+
+# This process's helpers, forked on the first wave that splits.
+_helpers: list[_Helper] = []
 
 
 @dataclass(frozen=True)
@@ -104,6 +136,23 @@ def replica_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
+def _checked_w0(net: AcquaintanceNetwork, max_slots: int, tol: float, record_every: int) -> np.ndarray:
+    """``net.w0`` as float64, once every argument ``_run`` takes is checked; raises ``ValueError`` if one is not."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_slots < 0:
+        raise ValueError("max_slots must be >= 0")
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
+    # a retention outside (0, 1) is not the model's, and a NaN one turns influenced values into NaN
+    if not 0 < net.delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    w0 = np.asarray(net.w0, dtype=np.float64)
+    if not np.all(np.abs(w0) <= np.finfo(np.float64).max / 2):
+        raise ValueError("w0 must lie within +-DBL_MAX/2 and hold no NaN")
+    return w0
+
+
 def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_every: int, records):
     """Advance one replica per seed, round by round, until each reaches tol or ``max_slots``.
 
@@ -128,18 +177,7 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     replica's (willingness list, slots used, value, converged): the value
     is the mean of its final willingness, converged is ``spread <= tol``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_slots < 0:
-        raise ValueError("max_slots must be >= 0")
-    if record_every < 0:
-        raise ValueError("record_every must be >= 0")
-    # a retention outside (0, 1) is not the model's, and a NaN one turns influenced values into NaN
-    if not 0 < net.delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    w0 = np.asarray(net.w0, dtype=np.float64)
-    if not np.all(np.abs(w0) <= np.finfo(np.float64).max / 2):
-        raise ValueError("w0 must lie within +-DBL_MAX/2 and hold no NaN")
+    w0 = _checked_w0(net, max_slots, tol, record_every)
     n = net.n
     sampler = kernels.build_sampler(net)
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
@@ -215,6 +253,153 @@ def run_replica(
     )
 
 
+def _outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, tol: float) -> list:
+    """(slots used, value, converged) of each replica k in ``ks``, run unrecorded by ``_run``."""
+    seeds = [replica_seed(seed, k) for k in ks]
+    return [out[1:] for out in _run(net, seeds, max_slots, tol, 0, None)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork or the platform cannot say."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _serve(requests, replies) -> None:
+    """A helper's loop: run each share it reads and write back its outcomes, until end of file."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    while True:
+        try:
+            args = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = _outcomes(*args)
+        except Exception:  # the caller runs the share itself, and raises the error there
+            reply = None
+        pickle.dump(reply, replies)
+        replies.flush()
+
+
+def _fork_helper() -> _Helper:
+    """Fork a helper that serves the request pipe until end of file, then exits without running any exit hook."""
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # _forget_helpers has closed the other helpers' pipes
+        os.close(request_w)
+        os.close(reply_r)
+        try:
+            _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+        finally:
+            os._exit(0)
+    os.close(request_r)
+    os.close(reply_w)
+    return _Helper(pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"))
+
+
+def _stop(helper: _Helper, kill: bool) -> None:
+    """Close a helper's pipes, which ends its loop, and reap it; ``kill`` stops it mid-share."""
+    pid, requests, replies = helper
+    for pipe in (requests, replies):
+        try:
+            pipe.close()
+        except OSError:  # the flush of a request a dead helper never read
+            pass
+    try:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):  # reaped by someone else
+        pass
+
+
+def _drop(helper: _Helper) -> None:
+    """Stop a helper that died or holds a reply nobody will read, and forget it."""
+    _helpers.remove(helper)
+    _stop(helper, kill=True)
+
+
+def _stop_helpers() -> None:
+    while _helpers:
+        _stop(_helpers.pop(), kill=False)
+
+
+def _forget_helpers() -> None:
+    """In a forked child: close the parent's helper pipes, so each helper still reads end of file when its caller exits."""
+    for _, requests, replies in _helpers:
+        requests.close()
+        replies.close()
+    _helpers.clear()
+
+
+atexit.register(_stop_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _send(helper: _Helper, args: tuple) -> bool:
+    """Write one share to a helper; False (and the helper dropped) if it has died."""
+    request = pickle.dumps(args)
+    try:
+        helper.requests.write(request)
+        helper.requests.flush()
+    except OSError:
+        _drop(helper)
+        return False
+    return True
+
+
+def _receive(helper: _Helper):
+    """A helper's outcomes for its share, or None if its run failed or it has died (and is dropped)."""
+    try:
+        return pickle.load(helper.replies)
+    except (EOFError, OSError, pickle.UnpicklingError):
+        _drop(helper)
+        return None
+
+
+def _wave_outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, tol: float) -> list:
+    """``_outcomes`` of a wave of replicas ``ks``, split into one contiguous share per usable CPU.
+
+    The wave stays whole when a share would hold fewer than ``_MIN_SHARE``
+    replicas.  A share whose helper has died or failed is run here.
+    """
+    procs = min(_usable_cpus(), len(ks) // _MIN_SHARE)
+    while len(_helpers) < procs - 1:
+        try:
+            _helpers.append(_fork_helper())
+        except OSError:  # no process to spare: share the wave among those there are
+            procs = len(_helpers) + 1
+    if procs < 2:
+        return _outcomes(net, seed, ks, max_slots, tol)
+    bounds = [len(ks) * p // procs for p in range(procs + 1)]
+    shares = [ks[a:b] for a, b in zip(bounds, bounds[1:])]
+    parts = [None] * procs
+    waiting = {}  # share index -> the helper whose reply is unread
+    try:
+        for p, helper in enumerate(_helpers[: procs - 1], 1):
+            if _send(helper, (net, seed, shares[p], max_slots, tol)):
+                waiting[p] = helper
+        parts[0] = _outcomes(net, seed, shares[0], max_slots, tol)
+        for p in list(waiting):
+            parts[p] = _receive(waiting[p])
+            del waiting[p]
+    finally:
+        for helper in waiting.values():  # interrupted: an unread reply would answer the next wave
+            _drop(helper)
+    return [
+        out for p, part in enumerate(parts)
+        for out in (part if part is not None else _outcomes(net, seed, shares[p], max_slots, tol))
+    ]
+
+
 def simulate_ensemble(
     net: AcquaintanceNetwork,
     replicas: int,
@@ -226,20 +411,27 @@ def simulate_ensemble(
 
     Replica k draws from the stream keyed by (seed, k) and ends exactly as
     ``run_replica`` with that seed and ``record_every=0`` would; the
-    summary is identical however the replicas are grouped into waves and
-    kernel calls.  Raises ``ValueError`` unless every ``|w0| <= DBL_MAX/2``
-    (NaN included): under that bound no sum or weighted mean of two values
-    overflows.
+    summary is identical however the replicas are grouped into waves,
+    shares and kernel calls.  A wave is cut into contiguous shares of its
+    replica indices, one per usable CPU (``os.sched_getaffinity``), when
+    each share holds at least ``_MIN_SHARE`` replicas; the caller runs the
+    first and forked helpers the rest.  With one usable CPU, no
+    ``os.fork`` or fewer replicas, the wave runs here alone.  Helpers are
+    kept for later ensembles and end with the calling process; a share
+    whose helper has died runs here.  Raises ``ValueError``, before any
+    share is sent, unless every ``|w0| <= DBL_MAX/2`` (NaN included):
+    under that bound no sum or weighted mean of two values overflows.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    _checked_w0(net, max_slots, tol, 0)  # before a helper is sent a share
     values = np.empty(replicas)
     converged = np.empty(replicas, dtype=bool)
     slots = np.empty(replicas, dtype=np.int64)
     wave = max(1, min(_WAVE_REPLICAS, _WAVE_VALUES // net.n))
     for first in range(0, replicas, wave):
-        seeds = [replica_seed(seed, k) for k in range(first, min(first + wave, replicas))]
-        for k, (_, used, value, done) in enumerate(_run(net, seeds, max_slots, tol, 0, None), first):
+        ks = range(first, min(first + wave, replicas))
+        for k, (used, value, done) in zip(ks, _wave_outcomes(net, seed, ks, max_slots, tol)):
             values[k], converged[k], slots[k] = value, done, used
 
     good = values[converged]

@@ -65,21 +65,34 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     symmetrized non-persistent weights, the influence part a combination
     of row/column sums of p*x.  Every sum runs over the dense matrices, so
     its rounding does not depend on which zero-weight pairs are listed.
+    L is built and its input dropped before K's input is scattered, and
+    every array is updated in place, so at most three n x n arrays are
+    alive at once: the three returned.
     """
     n = net.n
-    s = dense(net, net.social)
     q = dense(net, net.influence)
-    total_p = float(dense(net, net.p).sum())
-
-    r = s.sum(axis=1)
-    c = s.sum(axis=0)
-    K = (s + s.T) / (2.0 * n)
-    K[np.diag_indices(n)] += total_p / n - (r + c) / (2.0 * n)
-
     rq = q.sum(axis=1)
     cq = q.sum(axis=0)
-    L = (net.delta - 0.5) * (np.diag(rq) - q) + 0.5 * (np.diag(cq) - q.T)
+    # L = (delta - 0.5) * (diag(rq) - q) + 0.5 * (diag(cq) - q.T), then / n
+    L = np.diag(rq)
+    L -= q
+    L *= net.delta - 0.5
+    pull = np.diag(cq)
+    pull -= q.T
+    del q
+    pull *= 0.5
+    L += pull
+    del pull
     L /= n
+
+    s = dense(net, net.social)
+    total_p = float(dense(net, net.p).sum())
+    r = s.sum(axis=1)
+    c = s.sum(axis=0)
+    K = s + s.T
+    del s
+    K /= 2.0 * n
+    K[np.diag_indices(n)] += total_p / n - (r + c) / (2.0 * n)
 
     return MeanMatrices(Wbar=K + L, K=K, L=L)
 

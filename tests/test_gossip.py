@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,7 +224,7 @@ class TestRunReplica:
     def test_chunk_size_does_not_change_trajectory(self, chunk, monkeypatch):
         net = random_network(np.random.default_rng(8), 9)
         want = run_replica(net, seed=17, record_every=3)
-        monkeypatch.setattr(gossip, "_CHUNK_SLOTS", chunk)
+        monkeypatch.setattr(gossip, "_CHUNK_SLOTS", chunk)  # a one-replica run never reaches a helper
         got = run_replica(net, seed=17, record_every=3)
         assert got.slots_used == want.slots_used and got.converged
         for field in ("slots", "snapshots", "spread", "final"):
@@ -432,6 +436,7 @@ class TestEnsemble:
         if settled:
             net = dataclasses.replace(net, w0=np.full(9, 0.25) + np.arange(9) * 1e-8)
         monkeypatch.setattr(gossip, "_CHUNK_SLOTS", chunk)
+        monkeypatch.setattr(gossip, "_usable_cpus", lambda: 1)  # helpers keep the chunk size they were forked with
         ens = simulate_ensemble(net, replicas=7, max_slots=max_slots, seed=13)
         for k in range(7):
             alone = run_replica(net, max_slots=max_slots, record_every=0, seed=replica_seed(13, k))
@@ -444,6 +449,179 @@ class TestEnsemble:
             assert ens.converged.all() and not ens.slots_used.any()
         elif max_slots < 10**6:
             assert not ens.converged.any()
+
+
+# test_pinned_streams' networks, replica counts, seeds and budgets
+PINNED = [
+    (lambda: random_network(np.random.default_rng(8), 8), 16, 3, 10**6),
+    (lambda: bridged_clusters(4, 5), 16, 5, 10**6),
+    (lambda: random_network(np.random.default_rng(50), 50, extra_edge_prob=8 / 50), 12, 7, 2300),
+    (lambda: random_network(np.random.default_rng(17), 17, extra_edge_prob=1.0), 16, 11, 10**6),
+    (lambda: random_network(np.random.default_rng(1), 30, extra_edge_prob=0.4), 16, 13, 10**6),
+]
+PINNED_IDS = ["random-n8", "bridged-4+5", "random-n50-budget", "complete-n17", "max-degree-17"]
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(cpus)`` sets the usable-CPU count, splits every wave with a replica per CPU, and returns the shares sent.
+
+    Each sent share is recorded as its range of replica indices.  The
+    caller alone decides the split, so patching ``_MIN_SHARE`` here needs
+    not reach the helpers.
+    """
+    sent = []
+    send = gossip._send
+
+    def recording(helper, args):
+        sent.append(args[2])
+        return send(helper, args)
+
+    monkeypatch.setattr(gossip, "_send", recording)
+    monkeypatch.setattr(gossip, "_MIN_SHARE", 1)
+
+    def use(cpus):
+        monkeypatch.setattr(gossip, "_usable_cpus", lambda: cpus)
+        return sent
+
+    return use
+
+
+def serial(net, monkeypatch, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(gossip, "_usable_cpus", lambda: 1)
+        return simulate_ensemble(net, **kwargs)
+
+
+def assert_same_summary(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name), err_msg=field.name)
+
+
+class TestSplitEnsemble:
+    """Shares of a wave run in helper processes; the summary must equal the serial one."""
+
+    @pytest.mark.parametrize("case", PINNED, ids=PINNED_IDS)
+    @pytest.mark.parametrize("wave", [None, 5], ids=["one-wave", "waves-of-5"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pinned_networks(self, case, wave, cpus, split, monkeypatch):
+        make, replicas, seed, max_slots = case
+        net = make()
+        if wave:  # waves are cut in the caller, so this patch needs not reach the helpers
+            monkeypatch.setattr(gossip, "_WAVE_VALUES", wave * net.n)
+        want = serial(net, monkeypatch, replicas=replicas, seed=seed, max_slots=max_slots)
+        sent = split(cpus)
+        assert_same_summary(simulate_ensemble(net, replicas=replicas, seed=seed, max_slots=max_slots), want)
+        size = wave or replicas
+        waves = [min(size, replicas - first) for first in range(0, replicas, size)]
+        assert len(sent) == sum(min(cpus, count) - 1 for count in waves)
+
+    @pytest.mark.parametrize("replicas", [17, 33])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("max_slots", [10**6, 4 * 9 + 1], ids=["converge", "budget"])
+    def test_uneven_shares(self, replicas, cpus, max_slots, split, monkeypatch):
+        net = random_network(np.random.default_rng(21), 9)
+        want = serial(net, monkeypatch, replicas=replicas, seed=2, max_slots=max_slots)
+        sent = split(cpus)
+        assert_same_summary(simulate_ensemble(net, replicas=replicas, seed=2, max_slots=max_slots), want)
+        lengths = [len(share) for share in sent]
+        assert sum(lengths) < replicas and max(lengths) - min(lengths) <= 1
+        assert [k for share in sent for k in share] == list(range(replicas - sum(lengths), replicas))
+        if max_slots < 10**6:
+            assert not want.converged.any() and np.isnan(want.mean)
+
+    @pytest.mark.parametrize("replicas, cpus, shares", [(15, 2, 0), (16, 2, 1), (23, 3, 1), (24, 3, 2), (40, 1, 0)])
+    def test_every_process_gets_min_share(self, replicas, cpus, shares, split, monkeypatch):
+        monkeypatch.setattr(gossip, "_MIN_SHARE", 8)
+        sent = split(cpus)
+        simulate_ensemble(random_network(np.random.default_rng(3), 6), replicas=replicas, seed=1)
+        assert len(sent) == shares
+
+    @pytest.mark.parametrize(
+        "change, kwargs",
+        [
+            ({}, {"tol": 0.0}),
+            ({}, {"tol": float("nan")}),
+            ({}, {"max_slots": -1}),
+            ({"w0": np.array([0.0, np.nan, 1.0, 0.5, 0.2, 0.1])}, {}),
+            ({"w0": np.array([0.0, 1.1 * HALF_MAX, 1.0, 0.5, 0.2, 0.1])}, {}),
+        ],
+        ids=["tol-zero", "tol-nan", "budget-negative", "w0-nan", "w0-huge"],
+    )
+    def test_bad_arguments_raise_before_any_share_is_sent(self, change, kwargs, split, monkeypatch):
+        net = random_network(np.random.default_rng(4), 6)
+        want = serial(net, monkeypatch, replicas=20, seed=6)
+        sent = split(2)
+        with pytest.raises(ValueError):
+            simulate_ensemble(dataclasses.replace(net, **change), replicas=20, seed=6, **kwargs)
+        assert sent == []
+        assert_same_summary(simulate_ensemble(net, replicas=20, seed=6), want)
+
+    def test_killed_helper_share_runs_in_the_caller(self, split, monkeypatch):
+        net = random_network(np.random.default_rng(5), 12)
+        want = serial(net, monkeypatch, replicas=30, seed=8)
+        split(3)
+        assert_same_summary(simulate_ensemble(net, replicas=30, seed=8), want)
+        pid = gossip._helpers[0].pid
+        os.kill(pid, signal.SIGKILL)
+        assert_same_summary(simulate_ensemble(net, replicas=30, seed=8), want)
+        assert pid not in [helper.pid for helper in gossip._helpers]
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
+        assert_same_summary(simulate_ensemble(net, replicas=30, seed=8), want)
+        assert len(gossip._helpers) >= 2
+
+    def test_failed_fork_shares_the_wave_among_the_processes_there_are(self, split, monkeypatch):
+        net = random_network(np.random.default_rng(7), 8)
+        want = serial(net, monkeypatch, replicas=24, seed=4)
+        split(2)
+        simulate_ensemble(net, replicas=24, seed=4)  # at least one helper
+        helpers = list(gossip._helpers)
+        sent = split(len(helpers) + 2)
+        sent.clear()
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert_same_summary(simulate_ensemble(net, replicas=24, seed=4), want)
+        assert gossip._helpers == helpers and len(sent) == len(helpers)
+
+    def test_interrupted_wave_leaves_no_unread_reply(self, split, monkeypatch):
+        net = random_network(np.random.default_rng(6), 10)
+        want = serial(net, monkeypatch, replicas=20, seed=9)
+        split(2)
+        simulate_ensemble(net, replicas=20, seed=9)
+        helper = gossip._helpers[0]
+        outcomes = gossip._outcomes
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gossip, "_outcomes", interrupted)  # the caller's own share; the helper runs its copy
+        with pytest.raises(KeyboardInterrupt):
+            simulate_ensemble(net, replicas=20, seed=9)
+        assert helper not in gossip._helpers
+        monkeypatch.setattr(gossip, "_outcomes", outcomes)
+        assert_same_summary(simulate_ensemble(net, replicas=20, seed=9), want)
+
+    def test_helpers_end_with_the_caller(self):
+        script = (
+            "import os, numpy as np\n"
+            "from willingness_gossip import gossip, fixtures\n"
+            "gossip._usable_cpus = lambda: 3\n"
+            "gossip.simulate_ensemble(fixtures.random_network(np.random.default_rng(7), 8), replicas=40, seed=1)\n"
+            "print(*[helper.pid for helper in gossip._helpers])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def test_trace_csv_layout(tmp_path, rng):

@@ -16,6 +16,7 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.errors import NumericalError
+from willingness_gossip.network import dense
 from willingness_gossip.meanfield import (
     COND_LIMIT,
     MeanMatrices,
@@ -78,6 +79,19 @@ class TestMeanMatrices:
         Wbar = build_mean_matrices(net).Wbar
         assert Wbar.min() >= 0.0
         np.testing.assert_allclose(Wbar.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("net", [net for _, net in CORPUS] + [bridged_clusters(5, 6, influence=0.3)])
+    def test_in_place_build_equals_the_closed_forms_bit_for_bit(self, net):
+        """The arrays are updated in place to bound the peak; each element keeps the closed forms' IEEE operations."""
+        n = net.n
+        s, q = dense(net, net.social), dense(net, net.influence)
+        K = (s + s.T) / (2.0 * n)
+        K[np.diag_indices(n)] += float(dense(net, net.p).sum()) / n - (s.sum(axis=1) + s.sum(axis=0)) / (2.0 * n)
+        L = (net.delta - 0.5) * (np.diag(q.sum(axis=1)) - q) + 0.5 * (np.diag(q.sum(axis=0)) - q.T)
+        L /= n
+        mm = build_mean_matrices(net)
+        for got, want in ((mm.K, K), (mm.L, L), (mm.Wbar, K + L)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStationary:

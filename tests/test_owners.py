@@ -1,6 +1,10 @@
 """Rules with one owner: each test fails if a second copy of the rule comes back."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import willingness_gossip
@@ -101,3 +105,29 @@ def test_warmup_builds_its_table_with_build_sampler(monkeypatch):
     kernels.warmup()
     assert len(tables) == 1
     assert tables[0][2] >= 2  # the width: the search takes at least one step
+
+
+def test_start_up_imports_no_process_pool_and_starts_no_process():
+    """Importing the package and warming the kernels loads no process-pool module and forks no helper.
+
+    perfbench times this start-up (``setup_s``) and reads the process's peak
+    RSS; the ensemble's helpers are forked with ``os.fork`` on the first
+    wave that splits, never at import.
+    """
+    script = (
+        "import json, os, sys\n"
+        "import willingness_gossip\n"
+        "from willingness_gossip import gossip, kernels\n"
+        "kernels.warmup()\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    children = True\n"
+        "except ChildProcessError:\n"
+        "    children = False\n"
+        "loaded = sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)\n"
+        "print(json.dumps({'loaded': loaded, 'children': children, 'helpers': len(gossip._helpers)}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"loaded": [], "children": False, "helpers": 0}
