@@ -14,11 +14,14 @@ An ensemble wave with at least ``_MIN_SHARE`` replicas for each usable CPU
 is cut into one contiguous share of its seeds per CPU.  The caller runs
 the first share and helper processes run the others; the outcomes are
 joined back in replica order, so the summary does not depend on the
-shares.  Helpers are forked on the first wave that splits and serve until
-their request pipe reaches end of file: when the caller exits (an
-``atexit`` hook closes the pipes and reaps them) or dies.  They loop on
-pickles over two ``os.pipe``s rather than use ``multiprocessing``, whose
-import alone would add 0.64 MiB to every process.
+shares.  Helpers are forked on the first wave that splits and kept; each
+reads one pickled share a wave over one ``os.pipe`` and writes back its
+outcomes over another.  A helper that cannot take its share, dies or
+fails is stopped (killed and reaped), and its share runs in the caller.
+An ``atexit`` hook stops the helpers when the caller exits; a caller that
+dies closes their pipes, and each helper exits at end of file.  The pool
+does not use ``multiprocessing``: its import alone would add 0.64 MiB to
+every process, and its pools can orphan their workers.
 """
 
 from __future__ import annotations
@@ -266,24 +269,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve(requests, replies) -> None:
-    """A helper's loop: run each share it reads and write back its outcomes, until end of file."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    while True:
-        try:
-            args = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            reply = _outcomes(*args)
-        except Exception:  # the caller runs the share itself, and raises the error there
-            reply = None
-        pickle.dump(reply, replies)
-        replies.flush()
-
-
 def _fork_helper() -> _Helper:
-    """Fork a helper that serves the request pipe until end of file, then exits without running any exit hook."""
+    """Fork a helper that runs each share it reads and writes back its outcomes.
+
+    The helper exits, without running any exit hook, at end of file or
+    when a share raises; the caller then runs the share itself.
+    """
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()
     try:
@@ -293,10 +284,14 @@ def _fork_helper() -> _Helper:
             os.close(fd)
         raise
     if pid == 0:  # _forget_helpers has closed the other helpers' pipes
-        os.close(request_w)
-        os.close(reply_r)
         try:
-            _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+            os.close(request_w)
+            os.close(reply_r)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+            requests, replies = os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb")
+            while True:
+                pickle.dump(_outcomes(*pickle.load(requests)), replies)
+                replies.flush()
         finally:
             os._exit(0)
     os.close(request_r)
@@ -304,8 +299,8 @@ def _fork_helper() -> _Helper:
     return _Helper(pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"))
 
 
-def _stop(helper: _Helper, kill: bool) -> None:
-    """Close a helper's pipes, which ends its loop, and reap it; ``kill`` stops it mid-share."""
+def _stop(helper: _Helper) -> None:
+    """Close a helper's pipes, then kill and reap it: idle, dead, or running a share nobody will read."""
     pid, requests, replies = helper
     for pipe in (requests, replies):
         try:
@@ -313,22 +308,10 @@ def _stop(helper: _Helper, kill: bool) -> None:
         except OSError:  # the flush of a request a dead helper never read
             pass
     try:
-        if kill:
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     except (ProcessLookupError, ChildProcessError):  # reaped by someone else
         pass
-
-
-def _drop(helper: _Helper) -> None:
-    """Stop a helper that died or holds a reply nobody will read, and forget it."""
-    _helpers.remove(helper)
-    _stop(helper, kill=True)
-
-
-def _stop_helpers() -> None:
-    while _helpers:
-        _stop(_helpers.pop(), kill=False)
 
 
 def _forget_helpers() -> None:
@@ -339,37 +322,23 @@ def _forget_helpers() -> None:
     _helpers.clear()
 
 
-atexit.register(_stop_helpers)
+atexit.register(lambda: [_stop(helper) for helper in _helpers])
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def _send(helper: _Helper, args: tuple) -> bool:
-    """Write one share to a helper; False (and the helper dropped) if it has died."""
-    request = pickle.dumps(args)
-    try:
-        helper.requests.write(request)
-        helper.requests.flush()
-    except OSError:
-        _drop(helper)
-        return False
-    return True
-
-
-def _receive(helper: _Helper):
-    """A helper's outcomes for its share, or None if its run failed or it has died (and is dropped)."""
-    try:
-        return pickle.load(helper.replies)
-    except (EOFError, OSError, pickle.UnpicklingError):
-        _drop(helper)
-        return None
+def _send(helper: _Helper, args: tuple) -> None:
+    """Write one share to a helper; raises ``OSError`` if it has died."""
+    helper.requests.write(pickle.dumps(args))
+    helper.requests.flush()
 
 
 def _wave_outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, tol: float) -> list:
     """``_outcomes`` of a wave of replicas ``ks``, split into one contiguous share per usable CPU.
 
     The wave stays whole when a share would hold fewer than ``_MIN_SHARE``
-    replicas.  A share whose helper has died or failed is run here.
+    replicas.  A helper that cannot take its share, dies or fails is
+    stopped, and its share runs here.
     """
     procs = min(_usable_cpus(), len(ks) // _MIN_SHARE)
     while len(_helpers) < procs - 1:
@@ -382,18 +351,20 @@ def _wave_outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, to
     bounds = [len(ks) * p // procs for p in range(procs + 1)]
     shares = [ks[a:b] for a, b in zip(bounds, bounds[1:])]
     parts = [None] * procs
-    waiting = {}  # share index -> the helper whose reply is unread
+    waiting = dict(enumerate(_helpers[: procs - 1], 1))  # share index -> the helper whose reply is unread
     try:
-        for p, helper in enumerate(_helpers[: procs - 1], 1):
-            if _send(helper, (net, seed, shares[p], max_slots, tol)):
-                waiting[p] = helper
+        for p, helper in waiting.items():
+            _send(helper, (net, seed, shares[p], max_slots, tol))
         parts[0] = _outcomes(net, seed, shares[0], max_slots, tol)
-        for p in list(waiting):
-            parts[p] = _receive(waiting[p])
+        for p, helper in list(waiting.items()):
+            parts[p] = pickle.load(helper.replies)
             del waiting[p]
-    finally:
-        for helper in waiting.values():  # interrupted: an unread reply would answer the next wave
-            _drop(helper)
+    except (OSError, EOFError, pickle.UnpicklingError):  # a helper has ended
+        pass
+    finally:  # an unread reply would answer the next wave
+        for helper in waiting.values():
+            _helpers.remove(helper)
+            _stop(helper)
     return [
         out for p, part in enumerate(parts)
         for out in (part if part is not None else _outcomes(net, seed, shares[p], max_slots, tol))
@@ -417,10 +388,12 @@ def simulate_ensemble(
     each share holds at least ``_MIN_SHARE`` replicas; the caller runs the
     first and forked helpers the rest.  With one usable CPU, no
     ``os.fork`` or fewer replicas, the wave runs here alone.  Helpers are
-    kept for later ensembles and end with the calling process; a share
-    whose helper has died runs here.  Raises ``ValueError``, before any
-    share is sent, unless every ``|w0| <= DBL_MAX/2`` (NaN included):
-    under that bound no sum or weighted mean of two values overflows.
+    kept for later ensembles and end with the calling process; a helper
+    that cannot take its share, dies or fails is stopped, and its share
+    runs here, where a failure raises again.  Raises ``ValueError``,
+    before any share is sent, unless every ``|w0| <= DBL_MAX/2`` (NaN
+    included): under that bound no sum or weighted mean of two values
+    overflows.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")

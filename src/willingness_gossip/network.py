@@ -55,6 +55,11 @@ class AcquaintanceNetwork:
         interaction types given the meeting: influence x (the head pulls
         the tail), regular y (mutual averaging), persistent z (no change),
         with ``x + y + z = 1`` wherever ``p > 0``.
+
+    Each column is kept as a read-only copy of what it is given, so the
+    caller's array stays writable and a later write to it does not change
+    the network.  An array that is already read-only and owns its data,
+    such as a column of another network, is shared instead.
     """
 
     n: int
@@ -69,7 +74,10 @@ class AcquaintanceNetwork:
 
     def __post_init__(self):
         for name in ("tails", "heads", "p", "x", "y", "z", "w0"):
-            arr = readonly(getattr(self, name), np.int64 if name in ("tails", "heads") else np.float64)
+            arr, dtype = getattr(self, name), np.int64 if name in ("tails", "heads") else np.float64
+            frozen = isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable
+            if not (frozen and arr.dtype == dtype):
+                arr = readonly(np.array(arr, dtype=dtype), dtype)
             shape = (self.n,) if name == "w0" else np.shape(self.tails)
             if arr.shape != shape or arr.ndim != 1:
                 raise ValueError(f"{name} must have shape {shape}")

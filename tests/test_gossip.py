@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -606,6 +607,27 @@ class TestSplitEnsemble:
         monkeypatch.setattr(gossip, "_outcomes", outcomes)
         assert_same_summary(simulate_ensemble(net, replicas=20, seed=9), want)
 
+    def test_failed_share_stops_its_helper_and_runs_in_the_caller(self, split, monkeypatch):
+        net = random_network(np.random.default_rng(8), 9)
+        want = serial(net, monkeypatch, replicas=20, seed=3)
+        while gossip._helpers:  # helpers keep the module they were forked with
+            gossip._stop(gossip._helpers.pop())
+        caller, outcomes, fork = os.getpid(), gossip._outcomes, gossip._fork_helper
+        forked = []
+
+        def fails_in_a_helper(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("share failed")
+            return outcomes(*args)
+
+        monkeypatch.setattr(gossip, "_outcomes", fails_in_a_helper)
+        monkeypatch.setattr(gossip, "_fork_helper", lambda: forked.append(fork()) or forked[-1])
+        split(2)
+        assert_same_summary(simulate_ensemble(net, replicas=20, seed=3), want)
+        assert len(forked) == 1 and gossip._helpers == []
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(forked[0].pid, os.WNOHANG)
+
     def test_helpers_end_with_the_caller(self):
         script = (
             "import os, numpy as np\n"
@@ -622,6 +644,39 @@ class TestSplitEnsemble:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+    def test_helpers_end_when_the_caller_is_killed(self):
+        """A killed caller runs no exit hook; its helpers read end of file and exit.
+
+        An orphan that has exited may stay a zombie (state ``Z``) when no
+        process reaps it, so a zombie counts as ended.
+        """
+        script = (
+            "import os, signal, numpy as np\n"
+            "from willingness_gossip import gossip, fixtures\n"
+            "gossip._usable_cpus = lambda: 3\n"
+            "gossip.simulate_ensemble(fixtures.random_network(np.random.default_rng(7), 8), replicas=40, seed=1)\n"
+            "print(*[helper.pid for helper in gossip._helpers], flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=120) == -signal.SIGKILL
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
 
 
 def test_trace_csv_layout(tmp_path, rng):

@@ -410,6 +410,29 @@ def test_constructor_refuses_columns_of_unequal_length():
         AcquaintanceNetwork(**{**columns, "x": [0.0, 0.0]})
 
 
+@pytest.mark.parametrize("name", ["w0", "tails", "x"])
+@pytest.mark.parametrize("replace", [False, True], ids=["constructor", "replace"])
+def test_network_keeps_a_copy_of_the_callers_array(name, replace):
+    """The caller's array stays writable, and writing to it does not change the network."""
+    columns = _pair_columns(np.array([0, 1, 2]), np.array([1, 2, 0]))
+    arr = np.array(columns[name])
+    kept = arr.copy()
+    if replace:
+        net = dataclasses.replace(AcquaintanceNetwork(**columns), **{name: arr})
+    else:
+        net = AcquaintanceNetwork(**{**columns, name: arr})
+    assert arr.flags.writeable and not getattr(net, name).flags.writeable
+    arr[0] += 1
+    np.testing.assert_array_equal(getattr(net, name), kept)
+
+
+def test_network_shares_the_columns_of_another_network():
+    """A read-only array that owns its data, such as another network's column, is kept without a copy."""
+    net = AcquaintanceNetwork(**_pair_columns([0, 1, 2], [1, 2, 0]))
+    other = dataclasses.replace(net, w0=np.ones(3))
+    assert all(getattr(other, name) is getattr(net, name) for name in ("tails", "heads", "p", "x", "y", "z"))
+
+
 def test_listed_pair_without_meeting_is_validated_but_never_met():
     """A listed pair with p = 0 and x = 7: validation reports it, and it is no edge, is not written, is never met."""
     doc = json.loads(serialize_network(cycle(3)))

@@ -92,6 +92,14 @@ def test_node_sets_are_masks_or_index_arrays():
     assert owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "frozenset") == []
 
 
+def test_helper_processes_have_one_owner():
+    """``gossip._fork_helper`` alone forks and ``gossip._stop`` alone reaps: one start and one stop for every helper."""
+    def calls(name):
+        return owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name)
+
+    assert calls("os.fork") == [("gossip.py", "_fork_helper")]
+    assert calls("os.waitpid") == [("gossip.py", "_stop")]
+
 def test_warmup_builds_its_table_with_build_sampler(monkeypatch):
     """``kernels.warmup`` lays out no meeting table of its own."""
     build = kernels.build_sampler
