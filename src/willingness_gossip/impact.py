@@ -89,12 +89,15 @@ def impact_thm5(
     derivation combines (1/2 - delta) pi_i with (1/2) pi_j).  The sum is
     m^T w / (2 n^2) for per-node weights w; since w sums to 0 and K is
     symmetric, that equals -Z w / (2n) with Z = inv(I - K + J/n), so m is
-    never formed.
+    never formed.  The coefficients are computed per listed pair and
+    scattered into one n x n array, which is dropped before the solve;
+    every pair not listed has coefficient 0.
     """
     n = net.n
     pi_bar = np.asarray(pi_bar, dtype=float)
-    coef = dense(net, net.influence) * ((1.0 - 2.0 * net.delta) * pi_bar[:, None] + pi_bar[None, :])
+    coef = dense(net, net.influence * ((1.0 - 2.0 * net.delta) * pi_bar[net.tails] + pi_bar[net.heads]))
     weights = coef.sum(axis=1) - coef.sum(axis=0)
+    del coef
     values = -fundamental_solve(K, weights) / (2.0 * n)
     residual = np.abs(values - impact_exact(pi_bar))
     return values, residual
@@ -186,7 +189,9 @@ def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
     peak = float(np.max(np.abs(impacts))) if n else 0.0
     if peak <= ZERO_IMPACT_FLOOR:
         return [ClientRank(node=k, impact=float(impacts[k]), score=0.0, rank=k + 1, tier=TIER_REVIEW) for k in range(n)]
-    order = sorted(range(n), key=lambda k: (-round12(impacts[k]), k))
+    values = impacts.tolist()
+    scores = (impacts / peak).tolist()
+    order = sorted(range(n), key=lambda k: (-round12(values[k]), k))
     quart = math.ceil(n / 4)
     ranking = []
     for rank, node in enumerate(order, start=1):
@@ -196,8 +201,7 @@ def rank_clients(impacts: np.ndarray) -> list[ClientRank]:
             tier = TIER_STANDARD
         else:
             tier = TIER_REVIEW
-        score = float(impacts[node] / peak)
-        ranking.append(ClientRank(node=node, impact=float(impacts[node]), score=score, rank=rank, tier=tier))
+        ranking.append(ClientRank(node=node, impact=values[node], score=scores[node], rank=rank, tier=tier))
     return ranking
 
 

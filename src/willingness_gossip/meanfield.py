@@ -11,6 +11,10 @@ linear solve (:func:`fundamental_solve`); the full matrices remain as
 reference routines.
 
 All computations are dense, on n x n matrices formed by ``network.dense``.
+Only ``Wbar`` and ``K`` are kept; ``L`` lives only inside
+:func:`build_mean_matrices`.  Each solve's matrix is built in one buffer,
+so a stationary solve holds four n x n arrays at its peak: Wbar, K, the
+system and LAPACK's copy of it.
 """
 
 from __future__ import annotations
@@ -31,14 +35,18 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class MeanMatrices:
-    """Mean one-slot update matrix and its social/influence split."""
+    """Mean one-slot update matrix Wbar = K + L and its social part K.
+
+    The influence part L = Wbar - K is not kept: nothing after
+    :func:`build_mean_matrices` reads it, and at n x n doubles it would
+    be a third dense array held for the whole analysis.
+    """
 
     Wbar: np.ndarray
     K: np.ndarray
-    L: np.ndarray
 
     def __post_init__(self):
-        for name in ("Wbar", "K", "L"):
+        for name in ("Wbar", "K"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
@@ -55,7 +63,7 @@ class PassageData:
 
 
 def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
-    """Assemble K, L and Wbar = K + L from the network parameters.
+    """Assemble K and Wbar = K + L from the network parameters.
 
     Per ordered pair (i, j), an averaging meeting contributes the
     symmetric pair-averaging matrix, an influence meeting the one-sided
@@ -65,9 +73,9 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     symmetrized non-persistent weights, the influence part a combination
     of row/column sums of p*x.  Every sum runs over the dense matrices, so
     its rounding does not depend on which zero-weight pairs are listed.
-    L is built and its input dropped before K's input is scattered, and
-    every array is updated in place, so at most three n x n arrays are
-    alive at once: the three returned.
+    L is built and its input dropped before K's input is scattered, every
+    array is updated in place and Wbar is formed in L's buffer, so at most
+    three n x n arrays are alive at once and two are returned.
     """
     n = net.n
     q = dense(net, net.influence)
@@ -94,7 +102,8 @@ def build_mean_matrices(net: AcquaintanceNetwork) -> MeanMatrices:
     K /= 2.0 * n
     K[np.diag_indices(n)] += total_p / n - (r + c) / (2.0 * n)
 
-    return MeanMatrices(Wbar=K + L, K=K, L=L)
+    L += K  # Wbar, elementwise the same sum as K + L
+    return MeanMatrices(Wbar=L, K=K)
 
 
 def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
@@ -155,8 +164,9 @@ def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
 
 
 def _stationary_system(Wbar: np.ndarray) -> np.ndarray:
-    """``Wbar.T - I`` with its last row set to ones: the matrix of the stationary solve."""
-    A = Wbar.T - np.eye(Wbar.shape[0])
+    """``Wbar.T - I`` with its last row set to ones: the matrix of the stationary solve, in one buffer."""
+    A = Wbar.T.copy()
+    A[np.diag_indices(A.shape[0])] -= 1.0
     A[-1, :] = 1.0
     return A
 
@@ -172,7 +182,26 @@ def _cond_bound(Wbar: np.ndarray, A: np.ndarray, e_last: np.ndarray) -> float:
     g = np.min(v[-1] - (A.T @ v)[:-1], initial=v[-1])  # with v_l in the minimum, max(v) / g >= max(1, max t)
     if not (v.min() > 0.0 and g > 0.0):
         return np.inf
-    return float(2.0 * np.abs(A).sum(axis=0).max() * v.max() / g)
+    return float(2.0 * _abs_column_sums(A).max() * v.max() / g)
+
+
+def _abs_column_sums(A: np.ndarray) -> np.ndarray:
+    """``np.abs(A).sum(axis=0)`` for a C-contiguous A, bit for bit, through a buffer of at most 1 MiB and n/8 rows.
+
+    The full reduction adds the rows in order, ((|a_0| + |a_1|) + |a_2|) + ...;
+    each block's reduction starts from the running sums in its buffer's
+    first row, so every column is added in that same order.
+    """
+    n = A.shape[1]
+    rows = max(1, min((1 << 17) // n, n // 8))
+    buf = np.zeros((rows + 1, n))
+    sums = np.zeros(n)
+    for start in range(0, A.shape[0], rows):
+        part = A[start:start + rows]
+        np.abs(part, out=buf[1:1 + len(part)])
+        buf[0] = sums
+        np.add.reduce(buf[:1 + len(part)], axis=0, out=sums)
+    return sums
 
 
 def _solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -184,9 +213,18 @@ def _solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 
 def _deflated(M: np.ndarray) -> np.ndarray:
-    """``I - M + J/n`` for a stochastic n x n matrix M (J the all-ones matrix)."""
+    """``I - M + J/n`` for a stochastic n x n matrix M (J the all-ones matrix), in one buffer.
+
+    Elementwise ``(-m + 1) + 1/n`` on the diagonal and ``-m + 1/n`` off
+    it: the same floats as ``(I - M) + J/n``, since ``1 - m == -m + 1``
+    and ``0 - m`` differs from ``-m`` only in the sign of a zero, which
+    adding 1/n erases.
+    """
     n = M.shape[0]
-    return np.eye(n) - M + 1.0 / n
+    D = np.negative(M)
+    D[np.diag_indices(n)] += 1.0
+    D += 1.0 / n
+    return D
 
 
 def _cleanup_distribution(pi: np.ndarray) -> np.ndarray:

@@ -361,7 +361,8 @@ def diameter(net: AcquaintanceNetwork) -> int:
     :class:`NotStronglyConnectedError` naming the first node that does not
     reach every other node.
     """
-    reached, hops = reachable(*net.edges, np.eye(net.n, dtype=bool))
+    nodes = np.arange(net.n)
+    reached, hops = reachable(*net.edges, nodes[:, None] == nodes)
     short = np.nonzero(~reached.all(axis=1))[0]
     if short.size:
         raise NotStronglyConnectedError(f"no path from node {short[0]} to some node")

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,7 @@ def _fmt(value):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_DBL_MIN = sys.float_info.min  # the smallest normal double
 
 
 @functools.cache
@@ -70,9 +72,25 @@ def _field_keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _float_text(value) -> str:
-    """A float's JSON text: its ``_fmt`` value, or null when it is not finite."""
-    v = _fmt(value)
-    return "null" if v is None else repr(v)
+    """A float's JSON text, ``repr`` of its ``_fmt`` value, or null when it is not finite.
+
+    ``f"{v:.12g}"`` already holds the digits of that ``repr``: two
+    different decimals of at most 15 significant digits never round to
+    one normal double, so the shortest round-trip text of the rounded value is the
+    rounded text itself.  The two spell it alike except that ``repr``
+    ends an integral value in ``.0`` and writes exponents 12 to 15 in
+    full; a subnormal, whose precision is below 15 digits, and those
+    exponents go through ``repr``.
+    """
+    v = float(value)
+    if not math.isfinite(v):
+        return "null"
+    text = f"{v:.12g}"
+    if "e" in text:
+        if 12 <= int(text[text.index("e") + 1:]) <= 15 or (v and abs(v) < _DBL_MIN):
+            return repr(round12(v))
+        return text
+    return text if "." in text else text + ".0"
 
 
 def _write(obj, put, newline: str) -> None:
@@ -81,14 +99,15 @@ def _write(obj, put, newline: str) -> None:
     ``newline`` is a line break plus the indent of the line that ``obj``
     starts on; nested items go two spaces deeper.  Module-level, and
     handed ``put`` rather than closing over it, so that a render leaves
-    no reference cycle behind.
+    no reference cycle behind.  The scalar types a payload holds most
+    are written by an exact-type lookup, before the ``isinstance`` chain
+    that serves their subclasses and everything else.
     """
-    if obj is None:
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        put(scalar(obj))
+    elif obj is None:
         put("null")
-    elif obj is True:
-        put("true")
-    elif obj is False:
-        put("false")
     elif isinstance(obj, str):
         put(_encode_str(obj))
     elif isinstance(obj, (float, np.floating)):
@@ -114,6 +133,15 @@ def _write(obj, put, newline: str) -> None:
         _write_fields(_field_keys(type(obj)), obj.__getattribute__, put, newline)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_SCALAR_TEXT = {
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _float_text,
+    np.float64: _float_text,
+    str: _encode_str,
+}
 
 
 def _write_list(items, put, newline: str) -> None:

@@ -7,7 +7,7 @@ import pytest
 from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, build_sampler, decode_meetings
-from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, serialize_network
+from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, dense, serialize_network
 from willingness_gossip.report import _fmt
 
 
@@ -58,6 +58,21 @@ def _empirical_mean_update(net, count: int, rng: np.random.Generator):
     var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
     stderr = np.sqrt(var / count)
     return mean, stderr
+
+
+def _closed_form_mean_matrices(net):
+    """(K, L) of ``net`` from the dense closed forms, out of place: the oracle for ``build_mean_matrices``.
+
+    ``build_mean_matrices`` keeps K and Wbar = K + L, updated in place;
+    each of their elements must equal these forms bit for bit.
+    """
+    n = net.n
+    s, q = dense(net, net.social), dense(net, net.influence)
+    K = (s + s.T) / (2.0 * n)
+    K[np.diag_indices(n)] += float(dense(net, net.p).sum()) / n - (s.sum(axis=1) + s.sum(axis=0)) / (2.0 * n)
+    L = (net.delta - 0.5) * (np.diag(q.sum(axis=1)) - q) + 0.5 * (np.diag(q.sum(axis=0)) - q.T)
+    L /= n
+    return K, L
 
 
 def _reference_parse_network(text: str) -> AcquaintanceNetwork:
@@ -199,6 +214,12 @@ def reference_parse_network():
 def reference_render_json():
     """The two-pass report renderer, as a function (payload) -> str."""
     return _reference_render_json
+
+
+@pytest.fixture(scope="session")
+def closed_form_mean_matrices():
+    """The closed-form mean matrices, as a function (net) -> (K, L)."""
+    return _closed_form_mean_matrices
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from willingness_gossip.impact import (
 from willingness_gossip.meanfield import (
     build_mean_matrices,
     fundamental_matrix,
+    fundamental_solve,
     mean_first_passage,
     stationary_distribution,
 )
@@ -102,6 +103,17 @@ class TestPassageTimeIdentity:
             values, _ = impact_thm5(net, pi, mm.K)
             worst = max(worst, float(np.max(np.abs(values - oracle))))
         assert worst <= 1e-12
+
+
+    @pytest.mark.parametrize("seed, n", enumerate((2, 4, 9, 14, 19, 30, 50, 120)))
+    def test_per_pair_coefficients_equal_the_dense_product_bit_for_bit(self, seed, n):
+        # the coefficients are scattered per listed pair; every pair not listed contributes +0.0 either way
+        net = random_network(np.random.default_rng(seed), n, extra_edge_prob=0.35 if n < 100 else 8 / n)
+        mm, pi, _ = exact_pipeline(net)
+        n = net.n
+        coef = dense(net, net.influence) * ((1.0 - 2.0 * net.delta) * pi[:, None] + pi[None, :])
+        want = -fundamental_solve(mm.K, coef.sum(axis=1) - coef.sum(axis=0)) / (2.0 * n)
+        assert impact_thm5(net, pi, mm.K)[0].tobytes() == want.tobytes()
 
 
 class TestBridgeClosedForm:

@@ -330,8 +330,9 @@ def test_conductance_scan_peak_memory_at_n20():
 
 def test_mean_matrices_peak_memory_at_n200():
     # L is finished and its input dropped before K's input is scattered, all
-    # in place: the peak is the three returned arrays plus about a quarter
-    # of one (vectors and pair columns); out of place it was over five
+    # in place, and Wbar is formed in L's buffer: the peak is three n x n
+    # arrays plus about a quarter of one (vectors and pair columns), and two
+    # are returned; out of place it was over five
     net = random_network(np.random.default_rng(200), 200)
     build_mean_matrices(net)
     tracemalloc.start()

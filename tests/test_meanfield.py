@@ -16,11 +16,12 @@ from willingness_gossip.fixtures import (
     without_influence,
 )
 from willingness_gossip.errors import NumericalError
-from willingness_gossip.network import dense
 from willingness_gossip.meanfield import (
     COND_LIMIT,
     MeanMatrices,
+    _abs_column_sums,
     _cond_bound,
+    _deflated,
     _stationary_system,
     build_mean_matrices,
     build_passage_data,
@@ -40,23 +41,24 @@ def power_iteration_rows(Wbar, iters=4000):
 
 
 class TestMeanMatrices:
-    def test_influencer_pair_exact(self):
-        mm = build_mean_matrices(two_node_influencer())
+    def test_influencer_pair_exact(self, closed_form_mean_matrices):
+        net = two_node_influencer()
+        mm = build_mean_matrices(net)
         np.testing.assert_array_equal(mm.K, [[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_array_equal(mm.L, [[0.0, 0.0], [-0.25, 0.25]])
+        np.testing.assert_array_equal(closed_form_mean_matrices(net)[1], [[0.0, 0.0], [-0.25, 0.25]])
         np.testing.assert_array_equal(mm.Wbar, [[0.5, 0.5], [0.25, 0.75]])
 
-    def test_no_influence_means_zero_L(self, rng):
+    def test_no_influence_means_zero_L(self, rng, closed_form_mean_matrices):
         net = without_influence(random_network(rng, 7))
         mm = build_mean_matrices(net)
-        np.testing.assert_array_equal(mm.L, np.zeros((7, 7)))
+        np.testing.assert_array_equal(closed_form_mean_matrices(net)[1], np.zeros((7, 7)))
         np.testing.assert_array_equal(mm.Wbar, mm.K)
 
-    def test_split_consistency(self, rng):
+    def test_split_consistency(self, rng, closed_form_mean_matrices):
         for _ in range(10):
             net = random_network(rng, int(rng.integers(3, 13)))
             mm = build_mean_matrices(net)
-            np.testing.assert_allclose(mm.Wbar, mm.K + mm.L, atol=1e-12)
+            np.testing.assert_allclose(mm.Wbar, mm.K + closed_form_mean_matrices(net)[1], atol=1e-12)
 
     def test_social_matrix_properties(self, rng):
         # symmetry and double stochasticity must survive asymmetric p
@@ -68,10 +70,10 @@ class TestMeanMatrices:
             np.testing.assert_allclose(K.sum(axis=1), 1.0, atol=1e-9)
             assert K.min() >= 0.0
 
-    def test_influence_rows_sum_to_zero(self, rng):
+    def test_influence_rows_sum_to_zero(self, rng, closed_form_mean_matrices):
         for _ in range(5):
             net = random_network(rng, 9)
-            L = build_mean_matrices(net).L
+            L = closed_form_mean_matrices(net)[1]
             np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-14)
 
     def test_wbar_is_stochastic(self, rng):
@@ -81,17 +83,29 @@ class TestMeanMatrices:
         np.testing.assert_allclose(Wbar.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("net", [net for _, net in CORPUS] + [bridged_clusters(5, 6, influence=0.3)])
-    def test_in_place_build_equals_the_closed_forms_bit_for_bit(self, net):
+    def test_in_place_build_equals_the_closed_forms_bit_for_bit(self, net, closed_form_mean_matrices):
         """The arrays are updated in place to bound the peak; each element keeps the closed forms' IEEE operations."""
-        n = net.n
-        s, q = dense(net, net.social), dense(net, net.influence)
-        K = (s + s.T) / (2.0 * n)
-        K[np.diag_indices(n)] += float(dense(net, net.p).sum()) / n - (s.sum(axis=1) + s.sum(axis=0)) / (2.0 * n)
-        L = (net.delta - 0.5) * (np.diag(q.sum(axis=1)) - q) + 0.5 * (np.diag(q.sum(axis=0)) - q.T)
-        L /= n
+        K, L = closed_form_mean_matrices(net)
         mm = build_mean_matrices(net)
-        for got, want in ((mm.K, K), (mm.L, L), (mm.Wbar, K + L)):
+        for got, want in ((mm.K, K), (mm.Wbar, K + L)):
             assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("net", [net for _, net in CORPUS])
+    def test_one_buffer_systems_equal_the_identity_forms_bit_for_bit(self, net):
+        mm = build_mean_matrices(net)
+        n = net.n
+        A = mm.Wbar.T - np.eye(n)
+        A[-1, :] = 1.0
+        assert _stationary_system(mm.Wbar).tobytes() == A.tobytes()
+        for M in (mm.Wbar.T, mm.K):
+            assert _deflated(M).tobytes() == (np.eye(n) - M + 1.0 / n).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (9, 9), (200, 200), (700, 700), (40, 3000)])
+    def test_abs_column_sums_equal_the_full_reduction_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        A = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        assert _abs_column_sums(A).tobytes() == np.abs(A).sum(axis=0).tobytes()
 
 
 class TestStationary:
@@ -111,7 +125,7 @@ class TestStationary:
         ids=["identity", "block-reducible"],
     )
     def test_singular_system_is_refused(self, wbar):
-        mm = MeanMatrices(Wbar=wbar, K=wbar, L=np.zeros((3, 3)))
+        mm = MeanMatrices(Wbar=wbar, K=wbar)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             stationary_distribution(mm)
 
@@ -214,7 +228,7 @@ class TestConditionBound:
     def test_negative_entry_falls_back_once(self, cond_calls):
         # the bound needs Wbar >= 0; the exact cond (about 7) accepts this system
         wbar = np.array([[0.5, 0.6, -0.1], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]])
-        pi = stationary_distribution(MeanMatrices(Wbar=wbar, K=wbar, L=np.zeros((3, 3))))
+        pi = stationary_distribution(MeanMatrices(Wbar=wbar, K=wbar))
         assert len(cond_calls) == 1
         np.testing.assert_allclose(pi @ wbar, pi, atol=1e-14)
 

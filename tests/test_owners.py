@@ -32,6 +32,15 @@ def test_every_dense_solve_goes_through_one_helper():
     assert calls == [("meanfield.py", "_solve")]
 
 
+def test_no_dense_identity_outside_the_reference_fundamental_matrix():
+    """``meanfield.fundamental_matrix``, a reference routine the report never calls, holds the one ``np.eye``.
+
+    Every system the report solves is built in one buffer, without an n x n identity beside it.
+    """
+    eyes = owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith((".eye", ".identity")))
+    assert eyes == [("meanfield.py", "fundamental_matrix")]
+
+
 def test_one_function_rounds_to_12_significant_digits():
     """``impact.round12`` is the one ``float(f"{v:.12g}")``: the JSON report and the CSV ranking share it.
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from test_network_oracle import CORPUS
 from willingness_gossip import report
 from willingness_gossip.errors import NumericalError
 from willingness_gossip.fixtures import barbell, bridged_clusters, random_network, two_node_influencer
+from willingness_gossip.impact import round12
 from willingness_gossip.report import RunConfig, analyze, render_json
 
 
@@ -72,6 +74,31 @@ def test_edge_values_match_reference(reference_render_json, value):
     assert render_json(payload) == reference_render_json(payload)
 
 
+def _doubles_where_the_spellings_differ(rng, count):
+    """Random doubles, weighted to where ``repr`` and ``.12g`` spell or round a value apart, both signs."""
+    powers = 10.0 ** np.arange(-323, 308)
+    magnitudes = np.concatenate([
+        [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max],
+        rng.integers(0, 1 << 64, size=count, dtype=np.uint64).view(np.float64),  # any bit pattern
+        rng.integers(1, 1 << 52, size=count, dtype=np.uint64).view(np.float64),  # subnormals
+        10.0 ** rng.uniform(11.5, 16.5, size=count),
+        np.round(10.0 ** rng.uniform(11.5, 16.5, size=count)),
+        rng.integers(0, 1 << 62, size=count).astype(np.float64),
+        rng.integers(0, 10**6, size=count).astype(np.float64),
+        np.finfo(float).max * (1.0 - rng.uniform(0.0, 1e-9, size=count)),
+        *(powers * m for m in (1.0, 9.99999999999949, 9.9999999999995, 9.99999999999951)),
+    ])
+    magnitudes = magnitudes[np.isfinite(magnitudes)]
+    return np.concatenate([magnitudes, -magnitudes]).tolist()
+
+
+def test_float_text_spells_each_double_as_repr_of_its_rounded_value():
+    values = _doubles_where_the_spellings_differ(np.random.default_rng(12), 20000)
+    assert len(values) > 280000
+    mismatches = [v for v in values if report._float_text(v) != repr(round12(v))]
+    assert mismatches == []
+
+
 def test_int_keys_sort_as_strings():
     assert render_json({10: 0, 9: 0}).index('"10"') < render_json({10: 0, 9: 0}).index('"9"')
 
@@ -107,6 +134,21 @@ def test_render_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_analyze_holds_about_three_dense_arrays_at_n200():
+    # Wbar, K and the system being solved; LAPACK's copy of the system is
+    # allocated outside numpy's tracked memory.  With L kept and each system
+    # built from an identity it was about 5.1 n^2 doubles.
+    net = random_network(np.random.default_rng(200), 200, extra_edge_prob=8 / 200)
+    payload_of(net, 0)
+    tracemalloc.start()
+    try:
+        payload_of(net, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 200 * 200 * 8
 
 
 # sha256 of each network's report JSON: every section's value, the ensemble's included, is pinned.
