@@ -9,7 +9,6 @@ from .errors import (
 from .gossip import (
     SimulationTrace,
     EnsembleSummary,
-    apply_meeting,
     run_replica,
     simulate_ensemble,
 )

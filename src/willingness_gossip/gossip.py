@@ -110,30 +110,6 @@ class EnsembleSummary:
     seed: object
 
 
-def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
-    """One willingness update: initiator i meets partner j; pure (returns a new vector).
-
-    ``kind`` is a ``kernels.KIND_*`` code.  Averaging sets both endpoints
-    to their mean; influence moves only the initiator toward the partner
-    with retention delta, clamped into the pre-meeting pair interval so the
-    global spread cannot expand even under floating-point rounding;
-    persistent meetings change nothing.  This is the reference rule that
-    the tests fold to check ``kernels.gossip_chunk``.
-    """
-    out = np.array(w, dtype=np.float64, copy=True)
-    if kind == kernels.KIND_REGULAR:
-        avg = 0.5 * (out[i] + out[j])
-        out[i] = avg
-        out[j] = avg
-    elif kind == kernels.KIND_INFLUENCE:
-        a, b = out[i], out[j]
-        v = delta * a + (1.0 - delta) * b
-        out[i] = min(max(v, min(a, b)), max(a, b))
-    elif kind != kernels.KIND_PERSISTENT:
-        raise ValueError(f"unknown meeting kind {kind!r}")
-    return out
-
-
 def replica_seed(seed: int, k: int) -> np.random.SeedSequence:
     """Seed of replica k in an ensemble seeded with ``seed``: the Philox stream keyed by (seed, k)."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
@@ -336,18 +312,16 @@ def _send(helper: _Helper, args: tuple) -> None:
 def _wave_outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, tol: float) -> list:
     """``_outcomes`` of a wave of replicas ``ks``, split into one contiguous share per usable CPU.
 
-    The wave stays whole when a share would hold fewer than ``_MIN_SHARE``
-    replicas.  A helper that cannot take its share, dies or fails is
-    stopped, and its share runs here.
+    The wave stays whole, and runs here alone, when a share would hold
+    fewer than ``_MIN_SHARE`` replicas.  A helper that cannot take its
+    share, dies or fails is stopped, and its share runs here.
     """
-    procs = min(_usable_cpus(), len(ks) // _MIN_SHARE)
+    procs = max(1, min(_usable_cpus(), len(ks) // _MIN_SHARE))
     while len(_helpers) < procs - 1:
         try:
             _helpers.append(_fork_helper())
         except OSError:  # no process to spare: share the wave among those there are
             procs = len(_helpers) + 1
-    if procs < 2:
-        return _outcomes(net, seed, ks, max_slots, tol)
     bounds = [len(ks) * p // procs for p in range(procs + 1)]
     shares = [ks[a:b] for a, b in zip(bounds, bounds[1:])]
     parts = [None] * procs

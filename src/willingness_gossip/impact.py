@@ -231,24 +231,14 @@ def build_impact_report(
 
 
 def render_impact_csv(report: ImpactReport) -> str:
-    """Impact table: node, exact, thm5, thm5_residual, thm6, thm7_bound, rank, tier."""
-    by_node = {r.node: r for r in report.ranking}
-    thm7_cell = repr(float(report.thm7_bound)) if report.thm7_bound is not None else ""
-    lines = ["node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier\n"]
-    for k in range(report.exact.shape[0]):
-        thm6_cell = repr(float(report.thm6.values[k])) if report.thm6 is not None else ""
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    repr(float(report.exact[k])),
-                    repr(float(report.thm5[k])),
-                    repr(float(report.thm5_residual[k])),
-                    thm6_cell,
-                    thm7_cell,
-                    str(by_node[k].rank),
-                    by_node[k].tier + "\n",
-                ]
-            )
-        )
-    return "".join(lines)
+    """Impact table: node, exact, thm5, thm5_residual, thm6, thm7_bound, rank, tier.
+
+    Each float cell is ``repr`` of a Python float, read from one ``tolist`` per column.
+    """
+    n = report.exact.shape[0]
+    thm6 = list(map(repr, report.thm6.values.tolist())) if report.thm6 is not None else [""] * n
+    thm7 = repr(float(report.thm7_bound)) if report.thm7_bound is not None else ""
+    by_node = sorted(report.ranking, key=lambda r: r.node)
+    columns = zip(report.exact.tolist(), report.thm5.tolist(), report.thm5_residual.tolist(), thm6, by_node)
+    rows = [f"{k},{e!r},{t5!r},{res!r},{t6},{thm7},{r.rank},{r.tier}\n" for k, (e, t5, res, t6, r) in enumerate(columns)]
+    return "node,exact,thm5,thm5_residual,thm6,thm7_bound,rank,tier\n" + "".join(rows)

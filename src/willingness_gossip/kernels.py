@@ -187,10 +187,11 @@ def _mix(w, meetings, delta):
     """Apply meetings (regular, i, j) to the list ``w``, tracking nothing.
 
     ``regular`` is true for an averaging meeting and false for an influence
-    meeting.  This is the kernel's one copy of the update rule, with
-    ``gossip.apply_meeting``'s arithmetic: averaging sets both endpoints to
-    their mean, influence moves the initiator toward the partner with
-    retention delta, clamped into the pre-meeting pair interval.
+    meeting.  This is the library's one copy of the update rule, with the
+    arithmetic of ``apply_meeting`` in ``tests/conftest.py``, the reference
+    rule the tests fold against it: averaging sets both endpoints to their
+    mean, influence moves the initiator toward the partner with retention
+    delta, clamped into the pre-meeting pair interval.
     """
     keep = 1.0 - delta
     for regular, a, b in meetings:

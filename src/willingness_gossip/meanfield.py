@@ -138,14 +138,17 @@ def stationary_distribution(mm: MeanMatrices) -> np.ndarray:
     and U <= cond_1(A) / pi_l (Kemeny & Snell, *Finite Markov Chains*,
     1960, the absorbing chain's fundamental matrix N; Cho & Meyer,
     Linear Algebra Appl. 2001, conditioning by mean first passage
-    times).  The computed v is not trusted for t: with x = v[:-1] and g
-    the computed residual ``(I - Q) x = v_l e - (A.T v)[:-1]``,
-    ``N g = x`` bounds ``max t <= max(x) / min(g)`` for whatever v the
-    solve returned.  The factor-2 margin covers the rounding of U, and
-    of the exact value near the limit (relative error about
-    cond * eps <= 1e-4).  Where the bound fails (a negative entry in
-    Wbar, a singular or nonpositive v, or U > COND_LIMIT / 2) the exact
-    ``np.linalg.cond`` decides.
+    times).  Where Wbar >= 0, every entry of A off its diagonal and last
+    row is its own absolute value, so ||A||_1 comes from Wbar's row sums
+    R with no |A| formed: column j sums to ``R_j - W_jl - W_jj +
+    |W_jj - 1| + 1`` for j < l and to ``R_l - W_ll + 1`` for j = l.  The
+    computed v is not trusted for t: with x = v[:-1] and g the computed
+    residual ``(I - Q) x = v_l e - (A.T v)[:-1]``, ``N g = x`` bounds
+    ``max t <= max(x) / min(g)`` for whatever v the solve returned.  The
+    factor-2 margin covers the rounding of U, and of the exact value
+    near the limit (relative error about cond * eps <= 1e-4).  Where the
+    bound fails (a negative entry in Wbar, a singular or nonpositive v,
+    or U > COND_LIMIT / 2) the exact ``np.linalg.cond`` decides.
 
     Raises
     ------
@@ -172,7 +175,13 @@ def _stationary_system(Wbar: np.ndarray) -> np.ndarray:
 
 
 def _cond_bound(Wbar: np.ndarray, A: np.ndarray, e_last: np.ndarray) -> float:
-    """Hitting-time bound U >= cond_1(A) of :func:`stationary_distribution`; inf where it does not apply."""
+    """Hitting-time bound U >= cond_1(A) of :func:`stationary_distribution`; inf where it does not apply.
+
+    ``||A||_1`` needs no |A|: with R = Wbar's row sums, column j of A sums
+    in absolute value to ``R_j - W_jl - W_jj + |W_jj - 1| + 1`` for j < l
+    and ``R_l - W_ll + 1`` for j = l, but only where Wbar >= 0, so that
+    every entry off A's diagonal and last row is its own absolute value.
+    """
     if not Wbar.min() >= 0.0:
         return np.inf
     try:
@@ -182,26 +191,16 @@ def _cond_bound(Wbar: np.ndarray, A: np.ndarray, e_last: np.ndarray) -> float:
     g = np.min(v[-1] - (A.T @ v)[:-1], initial=v[-1])  # with v_l in the minimum, max(v) / g >= max(1, max t)
     if not (v.min() > 0.0 and g > 0.0):
         return np.inf
-    return float(2.0 * _abs_column_sums(A).max() * v.max() / g)
+    return float(2.0 * _system_norm1(Wbar) * v.max() / g)
 
 
-def _abs_column_sums(A: np.ndarray) -> np.ndarray:
-    """``np.abs(A).sum(axis=0)`` for a C-contiguous A, bit for bit, through a buffer of at most 1 MiB and n/8 rows.
-
-    The full reduction adds the rows in order, ((|a_0| + |a_1|) + |a_2|) + ...;
-    each block's reduction starts from the running sums in its buffer's
-    first row, so every column is added in that same order.
-    """
-    n = A.shape[1]
-    rows = max(1, min((1 << 17) // n, n // 8))
-    buf = np.zeros((rows + 1, n))
-    sums = np.zeros(n)
-    for start in range(0, A.shape[0], rows):
-        part = A[start:start + rows]
-        np.abs(part, out=buf[1:1 + len(part)])
-        buf[0] = sums
-        np.add.reduce(buf[:1 + len(part)], axis=0, out=sums)
-    return sums
+def _system_norm1(Wbar: np.ndarray) -> float:
+    """``||A||_1`` of the stationary system of a nonnegative ``Wbar``, by the closed form in :func:`_cond_bound`."""
+    rows = Wbar.sum(axis=1)
+    diag = np.diagonal(Wbar)
+    cols = rows - Wbar[:, -1] - diag + np.abs(diag - 1.0) + 1.0
+    cols[-1] = rows[-1] - diag[-1] + 1.0
+    return float(cols.max())
 
 
 def _solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:

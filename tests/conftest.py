@@ -6,7 +6,7 @@ import pytest
 
 from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
-from willingness_gossip.kernels import KIND_INFLUENCE, KIND_REGULAR, build_sampler, decode_meetings
+from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR, build_sampler, decode_meetings
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, dense, serialize_network
 from willingness_gossip.report import _fmt
 
@@ -58,6 +58,31 @@ def _empirical_mean_update(net, count: int, rng: np.random.Generator):
     var = np.maximum(dsq / count - (dsum / count) ** 2, 0.0)
     stderr = np.sqrt(var / count)
     return mean, stderr
+
+
+def apply_meeting(w: np.ndarray, i: int, j: int, kind: int, delta: float) -> np.ndarray:
+    """One willingness update: initiator i meets partner j; pure (returns a new vector).
+
+    ``kind`` is a ``kernels.KIND_*`` code.  Averaging sets both endpoints
+    to their mean; influence moves only the initiator toward the partner
+    with retention delta, clamped into the pre-meeting pair interval so the
+    global spread cannot expand even under floating-point rounding;
+    persistent meetings change nothing.  This is the reference rule that
+    the tests fold to check ``kernels.gossip_chunk``, whose ``_mix`` is the
+    library's one copy of the update.
+    """
+    out = np.array(w, dtype=np.float64, copy=True)
+    if kind == KIND_REGULAR:
+        avg = 0.5 * (out[i] + out[j])
+        out[i] = avg
+        out[j] = avg
+    elif kind == KIND_INFLUENCE:
+        a, b = out[i], out[j]
+        v = delta * a + (1.0 - delta) * b
+        out[i] = min(max(v, min(a, b)), max(a, b))
+    elif kind != KIND_PERSISTENT:
+        raise ValueError(f"unknown meeting kind {kind!r}")
+    return out
 
 
 def _closed_form_mean_matrices(net):

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import apply_meeting
+
 from willingness_gossip import gossip
 from willingness_gossip.fixtures import (
     barbell,
@@ -24,7 +26,6 @@ from willingness_gossip.fixtures import (
 )
 from willingness_gossip.gossip import (
     SimulationTrace,
-    apply_meeting,
     replica_seed,
     run_replica,
     simulate_ensemble,

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import network_from_dense
+from conftest import apply_meeting, network_from_dense
 from test_gossip import HALF_MAX, per_row_sampler
 
 from willingness_gossip import kernels
 from willingness_gossip.fixtures import random_network
-from willingness_gossip.gossip import apply_meeting
 from willingness_gossip.kernels import build_sampler
 from willingness_gossip.meanfield import build_mean_matrices
 from willingness_gossip.network import dense

@@ -10,6 +10,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -20,6 +21,16 @@ def tracing():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing as module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads as module
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
@@ -90,3 +101,22 @@ def test_trace_write_records_one_span_and_every_row(tracing, tmp_path):
         gossip.write_trace_csv(str(out), trace)
     assert [span[0] for span in tracer.spans] == ["gossip.trace_write"]
     assert tracer.counts["gossip.trace_rows"] == len(out.read_text().splitlines()) - 1 == trace.slots.shape[0]
+
+
+def test_trace_job_traces_replica_zero(workloads, tmp_path):
+    """The benchmark's trace job records replica 0 of its ensemble, on the stream ``gossip.replica_seed`` gives it.
+
+    ``run_job`` writes that stream's key by hand, so a change to the
+    library's replica key rule must fail here rather than leave the
+    benchmark tracing another replica.
+    """
+    from willingness_gossip import fixtures, gossip, network, report
+
+    path = tmp_path / "net.json"
+    path.write_text(network.serialize_network(fixtures.random_network(np.random.default_rng(23), 12)), encoding="utf-8")
+    config = report.RunConfig(command="analyze", network=path.name, replicas=1, seed=23)
+    ens, trace = workloads.run_job(workloads.Job(0, "trace", "random-n12", 12, path, tmp_path / "trace.csv", config))
+    want = gossip.run_replica(network.load_network(str(path)), seed=gossip.replica_seed(23, 0))
+    assert trace.value == want.value == ens.values[0]
+    assert trace.slots.tolist() == want.slots.tolist()
+    assert trace.snapshots.tobytes() == want.snapshots.tobytes()
