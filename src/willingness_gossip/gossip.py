@@ -152,9 +152,10 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     replica's recorded states ``(slot, spread, values)``: the slot-0 state,
     written here; each multiple of ``record_every`` the replica passes
     before it stops, written by the kernel; and the final state, written
-    here unless the kernel recorded it at the budget's end.  Returns each
-    replica's (willingness list, slots used, value, converged): the value
-    is the mean of its final willingness, converged is ``spread <= tol``.
+    here unless the kernel recorded it at the budget's end, so a record
+    list's last entry is the replica's final state.  Returns each
+    replica's (slots used, value, converged): the value is the mean of its
+    final willingness, converged is ``spread <= tol``.
     """
     w0 = _checked_w0(net, max_slots, tol, record_every)
     n = net.n
@@ -192,7 +193,7 @@ def _run(net: AcquaintanceNetwork, seeds, max_slots: int, tol: float, record_eve
     for rec, w, (used, spread) in zip(records or (), ws, state):
         if rec[-1][0] != used:
             rec.append((used, spread, w))
-    return [(w, used, float(np.mean(w)), spread <= tol) for w, (used, spread) in zip(ws, state)]
+    return [(used, float(np.mean(w)), spread <= tol) for w, (used, spread) in zip(ws, state)]
 
 
 def run_replica(
@@ -211,19 +212,20 @@ def run_replica(
     that bound no sum or weighted mean of two values overflows.
 
     The replica is a one-replica group of ``_run``, which writes its
-    recorded states to one list; this turns the list into arrays.
+    recorded states to one list, the final state last; this turns the
+    list into arrays and takes ``final`` from its last record.
     """
     if record_every is None:
         record_every = net.n
     records = []
-    ((w, slot, value, converged),) = _run(net, [seed], max_slots, tol, record_every, [records])
+    ((slot, value, converged),) = _run(net, [seed], max_slots, tol, record_every, [records])
     slots, spreads, snapshots = zip(*records)
     spreads = np.array(spreads)
     return SimulationTrace(
         slots=np.array(slots, dtype=np.int64),
         snapshots=np.array(snapshots),
         spread=spreads,
-        final=np.array(w),
+        final=np.array(snapshots[-1]),
         value=value,
         converged=converged,
         slots_used=slot,
@@ -233,9 +235,8 @@ def run_replica(
 
 
 def _outcomes(net: AcquaintanceNetwork, seed, ks: range, max_slots: int, tol: float) -> list:
-    """(slots used, value, converged) of each replica k in ``ks``, run unrecorded by ``_run``."""
-    seeds = [replica_seed(seed, k) for k in ks]
-    return [out[1:] for out in _run(net, seeds, max_slots, tol, 0, None)]
+    """``_run``'s (slots used, value, converged) of each replica k in ``ks``, run unrecorded."""
+    return _run(net, [replica_seed(seed, k) for k in ks], max_slots, tol, 0, None)
 
 
 def _usable_cpus() -> int:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gossip import DEFAULT_MAX_SLOTS, DEFAULT_TOL, EnsembleSummary, simulate_ensemble
-from .impact import ImpactReport, build_impact_report, round12
+from .impact import TIER_INCENTIVIZE, ImpactReport, build_impact_report, round12
 from .meanfield import build_mean_matrices, stationary_distribution, stationary_perturbation
 # Not called here: perfbench/tracing.py wraps report.build_passage_data by name.
 from .meanfield import build_passage_data  # noqa: F401
 from .network import AcquaintanceNetwork
-from .spectral import CONDUCTANCE_MAX_N, DEFAULT_MIXING_THRESHOLD, SpectralReport, build_spectral_report
+from .spectral import CONDUCTANCE_MAX_N, DEFAULT_MIXING_THRESHOLD, SLOW, SpectralReport, build_spectral_report
 
 FORMAT_VERSION = "willingness-gossip-report/1"
 
@@ -53,14 +53,6 @@ class RunConfig:
         return "exact" if n <= CONDUCTANCE_MAX_N else "skip"
 
 
-def _fmt(value):
-    """Round floats with ``round12``; refuse silent non-finites."""
-    v = float(value)
-    if not math.isfinite(v):
-        return None
-    return round12(v)
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 _DBL_MIN = sys.float_info.min  # the smallest normal double
 
@@ -72,7 +64,7 @@ def _field_keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _float_text(value) -> str:
-    """A float's JSON text, ``repr`` of its ``_fmt`` value, or null when it is not finite.
+    """A float's JSON text, ``repr`` of its ``round12`` value, or null when it is not finite.
 
     ``f"{v:.12g}"`` already holds the digits of that ``repr``: two
     different decimals of at most 15 significant digits never round to
@@ -173,7 +165,7 @@ def _write_fields(keys, get, put, newline: str) -> None:
 
 
 def render_json(payload: dict) -> str:
-    """The payload as JSON: keys sorted, two-space indent, floats through ``_fmt``, non-finite as null."""
+    """The payload as JSON: keys sorted, two-space indent, floats through ``_float_text``, non-finite as null."""
     parts: list[str] = []
     _write(payload, parts.append, "\n")
     parts.append("\n")
@@ -221,7 +213,7 @@ def _simulation_section(net: AcquaintanceNetwork, pi_bar: np.ndarray, ens: Ensem
 
 
 def _verdicts(spectral: SpectralReport, impact: ImpactReport) -> dict:
-    if spectral.mixing_class == "slow":
+    if spectral.mixing_class == SLOW:
         note = (
             "slow-mixing social graph (gap {g}): influence persists; "
             "preferred insurance target with incentive contracts for high-impact clients"
@@ -231,10 +223,10 @@ def _verdicts(spectral: SpectralReport, impact: ImpactReport) -> dict:
             "fast-mixing social graph (gap {g}): influence washes out toward the plain "
             "initial average; differentiate contracts by impact before insuring"
         )
-    note = note.format(g=_fmt(spectral.gap))
+    note = note.format(g=_float_text(spectral.gap))
     if spectral.bound_expectation is not None:
-        note += f"; worst-case consensus deviation {_fmt(spectral.bound_expectation)}"
-    top = [r.node for r in impact.ranking if r.tier == "incentivize"]
+        note += f"; worst-case consensus deviation {_float_text(spectral.bound_expectation)}"
+    top = [r.node for r in impact.ranking if r.tier == TIER_INCENTIVIZE]
     return {
         "mixing_class": spectral.mixing_class,
         "insurability": note,

@@ -1,14 +1,15 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
+from willingness_gossip.impact import round12
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR, build_sampler, decode_meetings
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, dense, serialize_network
-from willingness_gossip.report import _fmt
 
 
 def network_from_dense(n, delta, p, x, y, z, w0) -> AcquaintanceNetwork:
@@ -156,14 +157,19 @@ def _reference_parse_network(text: str) -> AcquaintanceNetwork:
     )
 
 
+def _reference_float(value: float):
+    """A float as the report writes it: rounded by ``round12``, or None when it is not finite."""
+    return round12(value) if math.isfinite(value) else None
+
+
 def _reference_jsonify(obj):
-    """``obj`` as plain JSON values: str keys, lists for arrays and sets, floats through ``_fmt``."""
+    """``obj`` as plain JSON values: str keys, lists for arrays and sets, floats rounded by ``round12``."""
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _reference_float(obj)
     if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
+        return _reference_float(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):

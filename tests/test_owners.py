@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import willingness_gossip
-from willingness_gossip import kernels
+from willingness_gossip import impact, kernels, spectral
 
 SRC = Path(willingness_gossip.__file__).parent
 
@@ -53,6 +53,25 @@ def test_one_function_rounds_to_12_significant_digits():
         )
 
     assert owners(rounds) == [("impact.py", "round12")]
+
+
+def test_round12_is_called_by_the_renderer_and_the_ranking_alone():
+    """``report._float_text`` writes every float of a report, the verdict's note included; ``rank_clients`` sorts by it."""
+    calls = owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "round12")
+    assert sorted(calls) == [("impact.py", "rank_clients"), ("report.py", "_float_text")]
+
+
+def test_report_spells_no_mixing_class_or_tier():
+    """The report compares against ``spectral.FAST``/``SLOW`` and ``impact.TIER_*``; it writes none of them again."""
+    labels = {spectral.FAST, spectral.SLOW} | {
+        value for name, value in vars(impact).items() if name.startswith("TIER_")
+    }
+    tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
+    literals = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in labels
+    ]
+    assert len(labels) == 5 and literals == []
 
 
 def test_gossip_chunk_appends_records_only_at_marks():

@@ -12,7 +12,7 @@ from test_network_oracle import CORPUS
 from willingness_gossip import report
 from willingness_gossip.errors import NumericalError
 from willingness_gossip.fixtures import barbell, bridged_clusters, random_network, two_node_influencer
-from willingness_gossip.impact import round12
+from willingness_gossip.impact import TIER_INCENTIVIZE, round12
 from willingness_gossip.report import RunConfig, analyze, render_json
 
 
@@ -25,6 +25,25 @@ def payload_of(net, replicas, network="mem"):
 def test_corpus_reports_match_reference(reference_render_json, net, replicas):
     payload = payload_of(net, replicas)
     assert render_json(payload) == reference_render_json(payload)
+
+
+def test_corpus_verdicts_quote_the_rendered_numbers_and_the_incentivized_clients():
+    """The verdict's note spells ``gap`` and ``bound_expectation`` as the report writes them."""
+    checked = 0
+    for label, net in CORPUS:
+        payload = payload_of(net, 0)
+        verdicts, spectral = payload["verdicts"], payload["spectral"]
+        if "failed" in verdicts:
+            assert "failed" in spectral or "failed" in payload["impact"], label
+            continue
+        note = verdicts["insurability"]
+        assert f"(gap {report._float_text(spectral['gap'])})" in note, label
+        if spectral["bound_expectation"] is not None:
+            assert note.endswith(report._float_text(spectral["bound_expectation"])), label
+        incentivized = [r.node for r in payload["impact"]["ranking"] if r.tier == TIER_INCENTIVIZE]
+        assert verdicts["top_clients"] == incentivized, label
+        checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("replicas", [0, 3])
