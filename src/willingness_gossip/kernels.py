@@ -35,10 +35,21 @@ small cuts accurate to a few ulps.  The high table's columns run in order
 of subset size, so each block reduces to the smallest cut of each size,
 and only the n - 1 per-size minima are divided by |A| (n - |A|).  That is
 the same float as dividing every cut, because rounded multiplication and
-division by a positive number never decrease as the cut grows.
+division by a positive number never decrease as the cut grows.  The masks
+and every K-independent row of the high table depend on n alone; they are
+built once per n and cached read-only (``_scan_tables``).  A call writes
+its K columns in place, one low-table array and one copy of the high rows,
+runs every block's product into one reused buffer, and reduces the
+per-block minima over the low sizes once at the end.  Rebuilt on every
+call, the tables and a fresh product per block were temporaries of 128 KiB
+and more, and the first touch of their freshly mapped pages cost more than
+the arithmetic.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,9 +142,52 @@ def _subset_masks(bits: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(bits)) & 1).astype(np.float64)
 
 
-def _inner_cut(masks: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Weight of K from each mask's members to its non-members, one row per mask."""
-    return ((masks @ K) * (1.0 - masks)).sum(axis=1)
+def _inner_cut(masks: np.ndarray, outside: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Weight of K from each mask's members to its non-members, ``outside = 1 - masks``, one row per mask."""
+    return ((masks @ K) * outside).sum(axis=1)
+
+
+class _ScanTables(NamedTuple):
+    """The K-independent tables of a conductance scan over n nodes, all read-only."""
+
+    low: np.ndarray  # the low block's subsets, node 0's column included
+    low_out: np.ndarray  # 1 - low
+    high: np.ndarray  # the high block's subsets in binary order
+    right: np.ndarray  # rows 1-high, high, ones of the size-sorted right table, F order
+    by_size: np.ndarray  # the high subsets in stable order of size
+    group_start: np.ndarray  # first column of each high size 0..n-h in ``right``
+    low_order: np.ndarray  # the low rows in stable order of size
+    low_start: np.ndarray  # first entry of each low size 1..h in ``low_order``
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_tables(n: int) -> _ScanTables:
+    """Build the tables of :func:`conductance_scan` for n nodes, once per n.
+
+    They depend on n alone.  The four most recent sizes stay cached, so a
+    portfolio of networks at a few sizes builds them once per size, and a
+    direct call at a larger n is pushed out by the next four sizes.
+    """
+    h = (n + 1) // 2
+    low = np.hstack([np.ones((1 << (h - 1), 1)), _subset_masks(h - 1)])
+    high = _subset_masks(n - h)
+    low_size = low.sum(axis=1).astype(np.int64)
+    high_size = high.sum(axis=1).astype(np.int64)
+    by_size = np.argsort(high_size, kind="stable")
+    low_order = np.argsort(low_size, kind="stable")
+    tables = _ScanTables(
+        low=low,
+        low_out=1.0 - low,
+        high=high,
+        right=np.hstack([1.0 - high, high, np.ones((high.shape[0], 1))])[by_size].T,
+        by_size=by_size,
+        group_start=np.searchsorted(high_size[by_size], np.arange(n - h + 1)),
+        low_order=low_order,
+        low_start=np.searchsorted(low_size[low_order], np.arange(1, h + 1)),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def conductance_scan(K: np.ndarray) -> float:
@@ -143,42 +197,44 @@ def conductance_scan(K: np.ndarray) -> float:
     whose bits r sets; the columns of the high table are the subsets of H,
     in stable order of size.  The cut of (r, c) is entry (r, c) of
     ``[M_P K_PH | (1-M_P) K_HP^T | cut_P | 1] @ [(1-M_H) | M_H | 1 | cut_H]^T``,
-    a sum of products of nonnegative factors.  The scan keeps the smallest
-    cut of each size k and divides once per size: ``fl(n c)`` and
-    ``fl(fl(n c) / d)`` never decrease as c grows, so the smallest cut of a size
-    gives exactly its smallest ratio.
+    a sum of products of nonnegative factors.  The masks and the first
+    2|H| + 1 rows of the right factor depend on n alone and come from
+    :func:`_scan_tables`; a call writes the three K columns of the left
+    factor into one array and ``cut_H`` into the last row of one copy of
+    the right rows.  Every row block's product goes into one reused buffer
+    and is reduced there to the smallest cut of each high size; one
+    ``reduceat`` over the low sizes and one ``minimum.at`` then give the
+    smallest cut of each size k, divided once per size: ``fl(n c)`` and
+    ``fl(fl(n c) / d)`` never decrease as c grows, so the smallest cut of
+    a size gives exactly its smallest ratio.
     """
     n = K.shape[0]
     h = (n + 1) // 2
-    low = np.hstack([np.ones((1 << (h - 1), 1)), _subset_masks(h - 1)])
-    high = _subset_masks(n - h)
-    left = np.hstack([
-        low @ K[:h, h:],
-        (1.0 - low) @ K[h:, :h].T,
-        _inner_cut(low, K[:h, :h])[:, None],
-        np.ones((low.shape[0], 1)),
-    ])
-    low_size = low.sum(axis=1).astype(np.int64)
-    high_size = high.sum(axis=1).astype(np.int64)
-    by_size = np.argsort(high_size, kind="stable")
-    right = np.hstack([
-        1.0 - high,
-        high,
-        np.ones((high.shape[0], 1)),
-        _inner_cut(high, K[h:, h:])[:, None],
-    ])[by_size].T
-    groups = np.arange(n - h + 1)
-    group_start = np.searchsorted(high_size[by_size], groups)
-    cut = np.full(n + 1, np.inf)  # smallest cut by subset size; size n, the full set, is never read
-    rows = max(1, (1 << 15) >> (n - h))  # about 2^15 subsets per block
+    t = _scan_tables(n)
+    inner = 2 * (n - h) + 2
+    left = np.empty((t.low.shape[0], inner))
+    np.matmul(t.low, K[:h, h:], out=left[:, : n - h])
+    np.matmul(t.low_out, K[h:, :h].T, out=left[:, n - h : -2])
+    left[:, -2] = _inner_cut(t.low, t.low_out, K[:h, :h])
+    left[:, -1] = 1.0
+    right = np.empty((inner, t.high.shape[0]), order="F")
+    right[:-1] = t.right
+    right[-1] = _inner_cut(t.high, 1.0 - t.high, K[h:, h:])[t.by_size]
+    rows = min(len(left), max(1, (1 << 15) >> (n - h)))  # about 2^15 subsets per block
+    product = np.empty((rows, right.shape[1]))
+    mins = np.empty((len(left), n - h + 1))  # smallest cut of each high size, one row per low subset
     for start in range(0, len(left), rows):
         block = slice(start, start + rows)
-        # Size group g of the high table holds C(n - h, g) >= 1 columns, so
-        # reduceat never meets an empty group (it would return the entry at
-        # the group's start, not +inf).  Keep the product's shape: BLAS may
-        # round an entry differently in the last bit when the shape changes.
-        group_min = np.minimum.reduceat(left[block] @ right, group_start, axis=1)
-        np.minimum.at(cut, low_size[block, None] + groups, group_min)
+        # Every block has the same shape: BLAS may round an entry differently
+        # in the last bit when the shape changes.  Size group g of the high
+        # table holds C(n - h, g) >= 1 columns, and low size s in 1..h holds
+        # C(h - 1, s - 1) >= 1 rows, so reduceat never meets an empty group
+        # (it would return the entry at the group's start, not +inf).
+        np.matmul(left[block], right, out=product)
+        np.minimum.reduceat(product, t.group_start, axis=1, out=mins[block])
+    by_low = np.minimum.reduceat(mins[t.low_order], t.low_start, axis=0)
+    cut = np.full(n + 1, np.inf)  # smallest cut by subset size; size n, the full set, is never read
+    np.minimum.at(cut, np.arange(1, h + 1)[:, None] + np.arange(n - h + 1), by_low)
     k = np.arange(1, n)
     return float((n * cut[1:n] / (k * (n - k))).min())
 

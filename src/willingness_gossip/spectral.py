@@ -130,7 +130,10 @@ def conductance(K: np.ndarray, mode: str = "exact") -> float | None:
     O(n) work per subset; every cut is a sum of nonnegative entries of K.
     It keeps the smallest cut of each subset size and divides only those
     n - 1 minima, which gives the same float as dividing every cut, since
-    rounding preserves the order of cuts of one size.
+    rounding preserves the order of cuts of one size.  The half tables
+    depend on n alone and are built once per n; a call writes only its K
+    columns beside them and reuses one product buffer for every block,
+    sparing the page faults of fresh per-call tables and products.
     Refuses above n = 20; pass mode="skip" to omit the value.
     """
     if mode == "skip":

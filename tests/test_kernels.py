@@ -12,7 +12,7 @@ from conftest import apply_meeting, network_from_dense
 from test_gossip import HALF_MAX, per_row_sampler
 
 from willingness_gossip import kernels
-from willingness_gossip.fixtures import random_network
+from willingness_gossip.fixtures import bridged_clusters, random_network
 from willingness_gossip.kernels import build_sampler
 from willingness_gossip.meanfield import build_mean_matrices
 from willingness_gossip.network import dense
@@ -325,6 +325,54 @@ def test_conductance_scan_peak_memory_at_n20():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def test_conductance_scan_cold_peak_memory_at_n20():
+    # a first call at n=20 builds its tables (about 350 KiB) on top of the warm peak
+    K = build_mean_matrices(random_network(np.random.default_rng(20), 20)).K
+    kernels._scan_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        kernels.conductance_scan(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 19
+
+
+def test_conductance_scan_bits_across_sizes_and_calls(reference_conductance_scan):
+    """Tables cached at one size serve later calls at that size unchanged, between calls at other sizes."""
+    rng = np.random.default_rng(35)
+    sizes = [19, 20, 18, 19, 2, 20]
+    nets = [random_network(rng, n) for n in sizes]
+    nets += [bridged_clusters(n // 2, n - n // 2, influence=0.5, delta=0.3) for n in sizes]
+    kernels._scan_tables.cache_clear()
+    before = {n: [table.copy() for table in kernels._scan_tables(n)] for n in set(sizes)}
+    for net in nets:
+        K = build_mean_matrices(net).K
+        assert kernels.conductance_scan(K) == reference_conductance_scan(K)
+    for n, copies in before.items():
+        tables = kernels._scan_tables(n)
+        for table, copy in zip(tables, copies):
+            assert not table.flags.writeable
+            assert table.dtype == copy.dtype and table.shape == copy.shape
+            assert table.tobytes() == copy.tobytes()
+    info = kernels._scan_tables.cache_info()
+    assert info.currsize == len(set(sizes)) <= info.maxsize
+
+
+def test_conductance_scan_cache_keeps_a_few_sizes():
+    """A scan at a size beyond the report's limit is pushed out by the next few sizes."""
+    kernels._scan_tables.cache_clear()
+    kernels.conductance_scan(np.full((21, 21), 1.0 / 21))
+    maxsize = kernels._scan_tables.cache_info().maxsize
+    for n in range(2, 2 + maxsize):
+        kernels.conductance_scan(np.full((n, n), 1.0 / n))
+    # the n=21 tables are gone: asking for them again misses
+    misses = kernels._scan_tables.cache_info().misses
+    kernels._scan_tables(21)
+    assert kernels._scan_tables.cache_info().misses == misses + 1
+    kernels._scan_tables.cache_clear()
 
 
 def test_mean_matrices_peak_memory_at_n200():
