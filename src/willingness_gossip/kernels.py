@@ -31,19 +31,19 @@ table per block holds each of its subsets' size and cut inside the block;
 one matrix product per row block of about 2^15 subsets adds the cut across
 the blocks, with inner dimension 2|H| + 2 <= 22, so each subset costs O(n)
 work.  Every cut stays a sum of nonnegative entries of K, which keeps
-small cuts accurate to a few ulps.  The high table's columns run in order
-of subset size, so each block reduces to the smallest cut of each size,
+small cuts accurate to a few ulps.  Both tables run in stable order of
+subset size, so each block reduces to the smallest cut of each high size,
 and only the n - 1 per-size minima are divided by |A| (n - |A|).  That is
 the same float as dividing every cut, because rounded multiplication and
 division by a positive number never decrease as the cut grows.  The masks
 and every K-independent row of the high table depend on n alone; they are
-built once per n and cached read-only (``_scan_tables``).  A call writes
-its K columns in place, one low-table array and one copy of the high rows,
-runs every block's product into one reused buffer, and reduces the
-per-block minima over the low sizes once at the end.  Rebuilt on every
-call, the tables and a fresh product per block were temporaries of 128 KiB
-and more, and the first touch of their freshly mapped pages cost more than
-the arithmetic.
+built once per n, in that order, and cached read-only (``_scan_tables``).
+A call writes its K columns into one low-table array and one copy of the
+high rows, whose mask rows give the high inner cuts; it runs every block's
+product into one reused buffer and reduces the per-block minima over the
+low sizes once at the end.  Rebuilt on every call, the tables and a fresh
+product per block were temporaries of 128 KiB and more, and the first
+touch of their freshly mapped pages cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ def decode_meetings(table, partner, width, x, y, uniforms):
 
 
 def _subset_masks(bits: int) -> np.ndarray:
-    """All 2^bits rows of 0/1 floats; row r holds the binary digits of r."""
+    """All 2^bits subsets as rows of 0/1 floats, in stable order of size: binary order within a size."""
     idx = np.arange(1 << bits)
-    return ((idx[:, None] >> np.arange(bits)) & 1).astype(np.float64)
+    masks = ((idx[:, None] >> np.arange(bits)) & 1).astype(np.float64)
+    return masks[np.argsort(masks.sum(axis=1), kind="stable")]
 
 
 def _inner_cut(masks: np.ndarray, outside: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -148,21 +149,18 @@ def _inner_cut(masks: np.ndarray, outside: np.ndarray, K: np.ndarray) -> np.ndar
 
 
 class _ScanTables(NamedTuple):
-    """The K-independent tables of a conductance scan over n nodes, all read-only."""
+    """The K-independent tables of a conductance scan over n nodes, all read-only and in stable order of size."""
 
     low: np.ndarray  # the low block's subsets, node 0's column included
     low_out: np.ndarray  # 1 - low
-    high: np.ndarray  # the high block's subsets in binary order
-    right: np.ndarray  # rows 1-high, high, ones of the size-sorted right table, F order
-    by_size: np.ndarray  # the high subsets in stable order of size
+    right: np.ndarray  # rows 1-high, high, ones of the right table, F order; the high subsets are its columns
     group_start: np.ndarray  # first column of each high size 0..n-h in ``right``
-    low_order: np.ndarray  # the low rows in stable order of size
-    low_start: np.ndarray  # first entry of each low size 1..h in ``low_order``
+    low_start: np.ndarray  # first row of each low size 1..h in ``low``
 
 
 @functools.lru_cache(maxsize=4)
 def _scan_tables(n: int) -> _ScanTables:
-    """Build the tables of :func:`conductance_scan` for n nodes, once per n.
+    """Build the tables of :func:`conductance_scan` for n nodes, once per n, in stable order of size.
 
     They depend on n alone.  The four most recent sizes stay cached, so a
     portfolio of networks at a few sizes builds them once per size, and a
@@ -171,19 +169,12 @@ def _scan_tables(n: int) -> _ScanTables:
     h = (n + 1) // 2
     low = np.hstack([np.ones((1 << (h - 1), 1)), _subset_masks(h - 1)])
     high = _subset_masks(n - h)
-    low_size = low.sum(axis=1).astype(np.int64)
-    high_size = high.sum(axis=1).astype(np.int64)
-    by_size = np.argsort(high_size, kind="stable")
-    low_order = np.argsort(low_size, kind="stable")
     tables = _ScanTables(
         low=low,
         low_out=1.0 - low,
-        high=high,
-        right=np.hstack([1.0 - high, high, np.ones((high.shape[0], 1))])[by_size].T,
-        by_size=by_size,
-        group_start=np.searchsorted(high_size[by_size], np.arange(n - h + 1)),
-        low_order=low_order,
-        low_start=np.searchsorted(low_size[low_order], np.arange(1, h + 1)),
+        right=np.hstack([1.0 - high, high, np.ones((high.shape[0], 1))]).T,
+        group_start=np.searchsorted(high.sum(axis=1), np.arange(n - h + 1)),
+        low_start=np.searchsorted(low.sum(axis=1), np.arange(1, h + 1)),
     )
     for table in tables:
         table.flags.writeable = False
@@ -193,15 +184,16 @@ def _scan_tables(n: int) -> _ScanTables:
 def conductance_scan(K: np.ndarray) -> float:
     """Exact conductance: min of n * cut(A) / (|A| (n - |A|)) over all proper A containing node 0.
 
-    Row r of the low table is the subset of P with node 0 and the nodes
-    whose bits r sets; the columns of the high table are the subsets of H,
-    in stable order of size.  The cut of (r, c) is entry (r, c) of
+    Row r of the low table is a subset of P with node 0; column c of the
+    high table is a subset of H; both run in stable order of size.  The
+    cut of (r, c) is entry (r, c) of
     ``[M_P K_PH | (1-M_P) K_HP^T | cut_P | 1] @ [(1-M_H) | M_H | 1 | cut_H]^T``,
     a sum of products of nonnegative factors.  The masks and the first
     2|H| + 1 rows of the right factor depend on n alone and come from
     :func:`_scan_tables`; a call writes the three K columns of the left
-    factor into one array and ``cut_H`` into the last row of one copy of
-    the right rows.  Every row block's product goes into one reused buffer
+    factor into one array, and ``cut_H``, taken from the ``M_H`` and
+    ``1 - M_H`` rows of the cached right rows, into the last row of one
+    copy of them.  Every row block's product goes into one reused buffer
     and is reduced there to the smallest cut of each high size; one
     ``reduceat`` over the low sizes and one ``minimum.at`` then give the
     smallest cut of each size k, divided once per size: ``fl(n c)`` and
@@ -210,19 +202,19 @@ def conductance_scan(K: np.ndarray) -> float:
     """
     n = K.shape[0]
     h = (n + 1) // 2
+    m = n - h
     t = _scan_tables(n)
-    inner = 2 * (n - h) + 2
-    left = np.empty((t.low.shape[0], inner))
-    np.matmul(t.low, K[:h, h:], out=left[:, : n - h])
-    np.matmul(t.low_out, K[h:, :h].T, out=left[:, n - h : -2])
+    left = np.empty((t.low.shape[0], 2 * m + 2))
+    np.matmul(t.low, K[:h, h:], out=left[:, :m])
+    np.matmul(t.low_out, K[h:, :h].T, out=left[:, m:-2])
     left[:, -2] = _inner_cut(t.low, t.low_out, K[:h, :h])
     left[:, -1] = 1.0
-    right = np.empty((inner, t.high.shape[0]), order="F")
+    right = np.empty((2 * m + 2, t.right.shape[1]), order="F")
     right[:-1] = t.right
-    right[-1] = _inner_cut(t.high, 1.0 - t.high, K[h:, h:])[t.by_size]
-    rows = min(len(left), max(1, (1 << 15) >> (n - h)))  # about 2^15 subsets per block
+    right[-1] = _inner_cut(t.right[m : 2 * m].T, t.right[:m].T, K[h:, h:])
+    rows = min(len(left), max(1, (1 << 15) >> m))  # about 2^15 subsets per block
     product = np.empty((rows, right.shape[1]))
-    mins = np.empty((len(left), n - h + 1))  # smallest cut of each high size, one row per low subset
+    mins = np.empty((len(left), m + 1))  # smallest cut of each high size, one row per low subset
     for start in range(0, len(left), rows):
         block = slice(start, start + rows)
         # Every block has the same shape: BLAS may round an entry differently
@@ -232,9 +224,9 @@ def conductance_scan(K: np.ndarray) -> float:
         # (it would return the entry at the group's start, not +inf).
         np.matmul(left[block], right, out=product)
         np.minimum.reduceat(product, t.group_start, axis=1, out=mins[block])
-    by_low = np.minimum.reduceat(mins[t.low_order], t.low_start, axis=0)
+    by_low = np.minimum.reduceat(mins, t.low_start, axis=0)
     cut = np.full(n + 1, np.inf)  # smallest cut by subset size; size n, the full set, is never read
-    np.minimum.at(cut, np.arange(1, h + 1)[:, None] + np.arange(n - h + 1), by_low)
+    np.minimum.at(cut, np.arange(1, h + 1)[:, None] + np.arange(m + 1), by_low)
     k = np.arange(1, n)
     return float((n * cut[1:n] / (k * (n - k))).min())
 

@@ -122,19 +122,11 @@ def bound_l2(net: AcquaintanceNetwork, lambda2: float) -> float | None:
 def conductance(K: np.ndarray, mode: str = "exact") -> float | None:
     """Bottleneck ratio min over cuts of Q(A, A^c) / (pi(A) pi(A^c)).
 
-    Exact mode enumerates every nonempty proper subset (complement
+    pi is the uniform stationary distribution of the doubly stochastic K.
+    mode="exact" enumerates every nonempty proper subset (complement
     symmetry halves the work: only subsets containing node 0 are scanned)
-    with the uniform stationary distribution of the doubly stochastic K.
-    ``kernels.conductance_scan`` splits the nodes into two halves and
-    builds each subset's cut from two half tables and one cross product,
-    O(n) work per subset; every cut is a sum of nonnegative entries of K.
-    It keeps the smallest cut of each subset size and divides only those
-    n - 1 minima, which gives the same float as dividing every cut, since
-    rounding preserves the order of cuts of one size.  The half tables
-    depend on n alone and are built once per n; a call writes only its K
-    columns beside them and reuses one product buffer for every block,
-    sparing the page faults of fresh per-call tables and products.
-    Refuses above n = 20; pass mode="skip" to omit the value.
+    in ``kernels.conductance_scan``, whose docstring gives the method; it
+    refuses above n = 20.  mode="skip" omits the value and returns None.
     """
     if mode == "skip":
         return None

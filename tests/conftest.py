@@ -7,7 +7,7 @@ import pytest
 
 from willingness_gossip.errors import NetworkFormatError
 from willingness_gossip.fixtures import two_node_influencer, two_node_regular
-from willingness_gossip.impact import round12
+from willingness_gossip.impact import TIER_INCENTIVIZE, round12
 from willingness_gossip.kernels import KIND_INFLUENCE, KIND_PERSISTENT, KIND_REGULAR, build_sampler, decode_meetings
 from willingness_gossip.network import MAX_N, AcquaintanceNetwork, _as_number, _require_key, dense, serialize_network
 
@@ -189,12 +189,46 @@ def _reference_render_json(payload) -> str:
     return json.dumps(_reference_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
+class _Number(str):
+    """A number of a parsed report, kept as the text the report spells it with."""
+
+
+def parse_report(text: str):
+    """A rendered report as JSON values whose numbers keep their rendered text, so they compare by it."""
+    return json.loads(text, parse_float=_Number, parse_int=_Number)
+
+
+def value_text(value) -> str:
+    """A leaf of a parsed report as the report writes it."""
+    return value if isinstance(value, _Number) else json.dumps(value)
+
+
+def check_verdict_rules(report, label) -> bool:
+    """Check a parsed report's verdicts against its own numbers and ranking; False when a section failed.
+
+    The insurability note quotes ``gap`` and ``bound_expectation`` as the
+    report writes them, and ``top_clients`` lists the incentivized clients
+    in ranking order.
+    """
+    verdicts, spectral = report["verdicts"], report["spectral"]
+    if "failed" in verdicts:
+        assert "failed" in spectral or "failed" in report["impact"], label
+        return False
+    note = verdicts["insurability"]
+    assert f"(gap {value_text(spectral['gap'])})" in note, label
+    if spectral["bound_expectation"] is not None:
+        assert note.endswith(value_text(spectral["bound_expectation"])), label
+    incentivized = [row["node"] for row in report["impact"]["ranking"] if row["tier"] == TIER_INCENTIVIZE]
+    assert verdicts["top_clients"] == incentivized, label
+    return True
+
+
 def _reference_conductance_scan(K) -> float:
     """The blockwise-divide conductance scan: the value ``kernels.conductance_scan`` must return bit for bit.
 
-    The same half tables and ``left[block] @ right`` products as the kernel,
-    with the high table in binary order; every entry of each block is
-    divided by its own gathered ``|A| (n - |A|)`` and the full set is masked.
+    The kernel's half tables and ``left[block] @ right`` products, with both
+    tables in binary order; every entry of each block is divided by its
+    own gathered ``|A| (n - |A|)`` and the full set is masked.
     """
     n = K.shape[0]
     h = (n + 1) // 2

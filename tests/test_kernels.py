@@ -328,7 +328,7 @@ def test_conductance_scan_peak_memory_at_n20():
 
 
 def test_conductance_scan_cold_peak_memory_at_n20():
-    # a first call at n=20 builds its tables (about 350 KiB) on top of the warm peak
+    # a first call at n=20 builds its tables (about 250 KiB) on top of the warm peak
     K = build_mean_matrices(random_network(np.random.default_rng(20), 20)).K
     kernels._scan_tables.cache_clear()
     tracemalloc.start()
@@ -359,6 +359,27 @@ def test_conductance_scan_bits_across_sizes_and_calls(reference_conductance_scan
             assert table.tobytes() == copy.tobytes()
     info = kernels._scan_tables.cache_info()
     assert info.currsize == len(set(sizes)) <= info.maxsize
+
+
+def test_scan_tables_hold_only_what_a_scan_reads_in_stable_order_of_size():
+    """Five read-only tables; each block's subsets run by size, and in binary order within a size."""
+    for n in range(2, 21):
+        t = kernels._scan_tables(n)
+        assert t._fields == ("low", "low_out", "right", "group_start", "low_start")
+        assert not any(table.flags.writeable for table in t)
+        m = n - (n + 1) // 2
+        high = t.right[m : 2 * m].T
+        assert (t.right[:m] == 1.0 - t.right[m : 2 * m]).all() and (t.right[-1] == 1.0).all()
+        assert (t.low[:, 0] == 1.0).all() and (t.low_out == 1.0 - t.low).all()
+        for masks, starts in ((t.low[:, 1:], t.low_start), (high, t.group_start)):
+            bits = masks.shape[1]
+            size = masks.sum(axis=1)
+            value = masks @ (1 << np.arange(bits))
+            assert sorted(value) == list(range(1 << bits))
+            assert (np.diff(size) >= 0).all()
+            assert (np.diff(value)[np.diff(size) == 0] > 0).all()
+            assert starts.tolist() == np.searchsorted(size, np.arange(bits + 1)).tolist()
+    kernels._scan_tables.cache_clear()
 
 
 def test_conductance_scan_cache_keeps_a_few_sizes():
